@@ -8,7 +8,7 @@ byte-stable for identical inputs and configuration.
 
 import argparse
 import json
-import os
+import math
 import sys
 
 from .scalar import DEFAULT_TOL
@@ -27,6 +27,17 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
+    return val
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="frechet-surf",
@@ -34,9 +45,6 @@ def build_parser():
                     "plus curve tools and Fréchet upper-bound streams.")
     p.add_argument("--tolerance", default=None, metavar="REL[,ABS]",
                    help="comparison tolerance (default 1e-9,1e-12)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for coverage checks "
-                        "(default: available parallelism)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate a surface file")
@@ -45,7 +53,7 @@ def build_parser():
     sp = sub.add_parser("decide", help="decide weak Fréchet distance <= eps")
     sp.add_argument("fileA")
     sp.add_argument("fileB")
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--witness", action="store_true",
                     help="also print the witness component JSON")
     sp.add_argument("--dump-graph", metavar="PATH",
@@ -77,13 +85,13 @@ def build_parser():
     sp.add_argument("fileA")
     sp.add_argument("fileB")
     sp.add_argument("--variant", choices=["frechet", "weak"], default="frechet")
-    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--eps", type=_finite_float, default=None)
 
     sp = sub.add_parser("dump-svg", help="write debugging SVGs")
     sp.add_argument("what", choices=["curve-freespace", "arrangement"])
     sp.add_argument("fileA")
     sp.add_argument("fileB")
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--k-tri", type=int, default=0,
                     help="triangle index of surface A (arrangement mode)")
     sp.add_argument("--svg", required=True, metavar="PATH")
@@ -101,7 +109,7 @@ def _load_two_surfaces(args, tol):
 def run(argv=None):
     args = build_parser().parse_args(argv)
     tol = parse_tolerance(args.tolerance) if args.tolerance else DEFAULT_TOL
-    cfg = RunConfig(tolerance=tol, threads=args.threads)
+    cfg = RunConfig(tolerance=tol)
 
     if args.command == "validate":
         print(cfg.header_json())
@@ -113,8 +121,7 @@ def run(argv=None):
     if args.command == "decide":
         print(cfg.header_json())
         f, g = _load_two_surfaces(args, tol)
-        ok, witness = decision.decide(f, g, args.eps, tol, threads=args.threads,
-                                      validated=True)
+        ok, witness = decision.decide(f, g, args.eps, tol, validated=True)
         if args.dump_graph:
             graph = build_graph(f, g, args.eps, tol)
             with open(args.dump_graph, "w", encoding="utf-8") as fh:
@@ -130,7 +137,7 @@ def run(argv=None):
         cfg.mode = args.mode
         print(cfg.header_json())
         f, g = _load_two_surfaces(args, tol)
-        res = decision.compute(f, g, mode=args.mode, tol=tol, threads=args.threads)
+        res = decision.compute(f, g, mode=args.mode, tol=tol)
         print(json.dumps(res.as_dict(), sort_keys=True))
         return 0
 

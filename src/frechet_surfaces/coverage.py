@@ -9,10 +9,6 @@ arrangement face; each face is then classified by the direct distance
 predicate, so correctness never depends on arc orientation bookkeeping.
 """
 
-import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 from .scalar import DEFAULT_TOL, Ordering, cmp
 from .geometry import (OverlappingArcsError, arc_pair_intersections,
                        dist_point_triangle, eps_neighborhood_plane_boundary,
@@ -21,15 +17,6 @@ from .geometry import (OverlappingArcsError, arc_pair_intersections,
 # Sweep-direction perturbation used when event abscissae collide (fixed,
 # deliberately incommensurate with axis-aligned inputs).
 _PERTURB_ANGLE = 0.0137921830923741
-
-# Observed maximum number of boundary arcs contributed by a single
-# neighborhood/plane slice; useful when sizing the sweep. Diagnostic only.
-_max_slice_arcs_seen = 0
-
-
-def max_slice_arcs_seen():
-    return _max_slice_arcs_seen
-
 
 def _point_covered(p, partner_tris, eps, tol):
     for tri in partner_tris:
@@ -91,7 +78,6 @@ def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL, svg_path=None)
     covers the triangle; an uncovered probe point refutes coverage without a
     sweep.
     """
-    global _max_slice_arcs_seen
     tri_img = f.image_triangle(k_tri)
     if not partners:
         return False
@@ -135,7 +121,6 @@ def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL, svg_path=None)
             sl = eps_neighborhood_plane_boundary(tri, eps, frame, tol)
             if sl.status == SLICE_EMPTY:
                 continue
-            _max_slice_arcs_seen = max(_max_slice_arcs_seen, len(sl.arcs))
             arcs.extend(sl.arcs)
 
         # prune arcs far outside the triangle
@@ -191,7 +176,7 @@ def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL, svg_path=None)
         return uncovered is None
 
 
-def component_extensive(component, f, g, eps, tol=DEFAULT_TOL, threads=1):
+def component_extensive(component, f, g, eps, tol=DEFAULT_TOL):
     """True iff the component's projections cover both parameter spaces, i.e.
     every triangle of f is covered by its partners in the component and
     symmetrically for g."""
@@ -205,32 +190,7 @@ def component_extensive(component, f, g, eps, tol=DEFAULT_TOL, threads=1):
 
     jobs = [(f, g, k, sorted(ls)) for k, ls in sorted(partners_k.items())]
     jobs += [(g, f, l, sorted(ks)) for l, ks in sorted(partners_l.items())]
-
-    def run(job):
-        a, b, t, ps = job
-        return triangle_covered(a, b, t, ps, eps, tol)
-
-    if threads and threads > 1 and len(jobs) >= 4:
-        results = list(_executor(threads).map(run, jobs))
-        return all(results)
-    for job in jobs:
-        if not run(job):
-            return False
-    return True
-
-
-_executors = {}
-_executors_lock = threading.Lock()
-
-
-def _executor(n):
-    # process-lifetime pools; creating one per call would dwarf the work
-    with _executors_lock:
-        ex = _executors.get(n)
-        if ex is None:
-            ex = ThreadPoolExecutor(max_workers=n)
-            _executors[n] = ex
-        return ex
+    return all(triangle_covered(a, b, t, ps, eps, tol) for a, b, t, ps in jobs)
 
 
 # ---------------------------------------------------------------------------

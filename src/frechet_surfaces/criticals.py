@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .scalar import DEFAULT_TOL, quadratic_roots
+from .scalar import DEFAULT_TOL, DegeneratePolynomialError, quadratic_roots
 from .geometry import (closest_point_triangle, conic_conic_points, cross_norm,
                        dist_point_triangle, dist_segment_triangle,
                        dist_triangle_triangle, closest_segment_segment,
@@ -134,7 +134,7 @@ def equidistance_values_on_segment(seg, tri_a, tri_b, tol=DEFAULT_TOL):
             # endpoints of the piece are breakpoints of other kinds
         try:
             roots = quadratic_roots(diff[0], diff[1], diff[2], tol)
-        except Exception:
+        except DegeneratePolynomialError:
             roots = []
         for t in roots:
             if not (ta - slack <= t <= tb + slack):
@@ -422,7 +422,7 @@ def _y_on_conic(c, x, tol):
     if abs(C) > 1e-12:
         try:
             return quadratic_roots(C, b, cc, tol)
-        except Exception:
+        except DegeneratePolynomialError:
             return []
     if abs(b) > 1e-12:
         return [-cc / b]

@@ -245,8 +245,7 @@ def curve_decide_weak(f, g, eps, tol=DEFAULT_TOL):
     cells = []
     for i in range(n):
         for j in range(m):
-            d, _, _ = closest_segment_segment(*f.segment(i), *g.segment(j))
-            if d <= eps:
+            if fs.cell_nonempty(i, j):
                 cells.append((i, j))
     cellset = set(cells)
     uf = UnionFind(cells)

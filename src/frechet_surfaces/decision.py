@@ -35,7 +35,7 @@ class WeakFrechetResult:
         }
 
 
-def decide(f, g, eps, tol=DEFAULT_TOL, threads=1, validated=False):
+def decide(f, g, eps, tol=DEFAULT_TOL, validated=False):
     """Weak Fréchet decision at eps.  Returns (verdict, witness_component);
     the witness is the extensive component (list of cells) or None."""
     if eps < 0.0:
@@ -45,7 +45,7 @@ def decide(f, g, eps, tol=DEFAULT_TOL, threads=1, validated=False):
         require_valid(g, tol)
     graph = build_graph(f, g, eps, tol)
     for comp in graph.components():
-        if component_extensive(comp, f, g, eps, tol, threads=threads):
+        if component_extensive(comp, f, g, eps, tol):
             return True, comp
     return False, None
 
@@ -54,7 +54,20 @@ MODE_EXACT = "exact"
 MODE_BISECT = "bisect"
 
 
-def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL, threads=1):
+def _first_true(cands, test):
+    """Smallest index whose candidate passes test, by binary search; test
+    must be monotone along cands and true at the last one."""
+    lo_i, hi_i = 0, len(cands) - 1
+    while lo_i < hi_i:
+        mid = (lo_i + hi_i) // 2
+        if test(cands[mid]):
+            hi_i = mid
+        else:
+            lo_i = mid + 1
+    return hi_i
+
+
+def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     """Weak Fréchet distance: min eps with decide(f, g, eps) true.
 
     "exact" mode walks the enumerated critical values (types 1/2a/2b/2d, then
@@ -70,7 +83,7 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL, threads=1):
     witnesses = {}
 
     def probe(eps):
-        ok, wit = decide(f, g, eps, tol, threads=threads, validated=True)
+        ok, wit = decide(f, g, eps, tol, validated=True)
         probes.append((eps, ok))
         if ok:
             witnesses[eps] = wit
@@ -96,17 +109,10 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL, threads=1):
     if not vals or vals[-1] < eps_max:
         vals.append(eps_max)
 
-    # binary search: smallest candidate with a true verdict
-    lo_i, hi_i = 0, len(vals) - 1
-    if not probe_candidate(vals[hi_i]):
+    if not probe_candidate(vals[-1]):
         # the diameter bound guarantees this never happens for valid surfaces
         raise ArithmeticError("decision failed at the diameter upper bound")
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if probe_candidate(vals[mid]):
-            hi_i = mid
-        else:
-            lo_i = mid + 1
+    hi_i = _first_true(vals, probe_candidate)
     bracket_hi = vals[hi_i]
     bracket_lo = vals[hi_i - 1] if hi_i > 0 else 0.0
 
@@ -119,14 +125,7 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL, threads=1):
                 if not inner or abs(cv.value - inner[-1]) > gapv:
                     inner.append(cv.value)
         cands = inner + [bracket_hi]
-        lo_i, hi_i = 0, len(cands) - 1
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            if probe_candidate(cands[mid]):
-                hi_i = mid
-            else:
-                lo_i = mid + 1
-        distance = cands[hi_i]
+        distance = cands[_first_true(cands, probe_candidate)]
     else:
         # the candidate search probed with slack, so the flip may sit just
         # above bracket_hi; widen by the slack and bisect with exact probes
@@ -146,8 +145,7 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL, threads=1):
         else distance
     witness = witnesses.get(witness_eps)
     if witness is None:
-        ok, witness = decide(f, g, witness_eps, tol, threads=threads,
-                             validated=True)
+        ok, witness = decide(f, g, witness_eps, tol, validated=True)
         probes.append((witness_eps, ok))
     return WeakFrechetResult(distance, witness_eps, witness or [], mode, probes)
 

@@ -22,6 +22,13 @@ class FormatError(ValueError):
     pass
 
 
+def _coordinate(value, where):
+    try:
+        return parse_coordinate(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{where}: bad coordinate {value!r}") from exc
+
+
 def surface_from_dict(doc):
     try:
         dim = int(doc["dimension"])
@@ -40,10 +47,7 @@ def surface_from_dict(doc):
         xy = []
         txt = []
         for c in v:
-            try:
-                val, raw = parse_coordinate(c)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"param_vertices[{i}]: bad coordinate {c!r}") from exc
+            val, raw = _coordinate(c, f"param_vertices[{i}]")
             xy.append(val)
             txt.append(raw)
         verts.append(tuple(xy))
@@ -57,7 +61,7 @@ def surface_from_dict(doc):
     for i, p in enumerate(raw_iv):
         if len(p) != dim:
             raise FormatError(f"image_vertices[{i}] must have {dim} coordinates")
-        imgs.append(tuple(float(parse_coordinate(c)[0]) for c in p))
+        imgs.append(tuple(_coordinate(c, f"image_vertices[{i}]")[0] for c in p))
     if len(imgs) != len(verts):
         raise FormatError(
             f"image_vertices count {len(imgs)} != param_vertices count {len(verts)}")
@@ -101,7 +105,7 @@ def curve_from_dict(doc):
     for i, v in enumerate(raw):
         if len(v) != dim:
             raise FormatError(f"vertices[{i}] must have {dim} coordinates")
-        verts.append(tuple(float(parse_coordinate(c)[0]) for c in v))
+        verts.append(tuple(_coordinate(c, f"vertices[{i}]")[0] for c in v))
     try:
         return PolyCurve.create(verts)
     except ValueError as exc:
@@ -123,7 +127,6 @@ class RunConfig:
 
     tolerance: Tolerance = DEFAULT_TOL
     mode: str = "exact"
-    threads: int = 1
     svg: str = None
     budget_pairs: int = 4
     budget_candidates: int = 64
@@ -134,7 +137,6 @@ class RunConfig:
         return {
             "tolerance": {"rel": self.tolerance.rel, "abs": self.tolerance.abs},
             "mode": self.mode,
-            "threads": self.threads,
             "svg": self.svg,
             "budget": {"pairs": self.budget_pairs,
                        "candidates": self.budget_candidates,

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from frechet_surfaces import build_graph, component_extensive, triangle_covered
 from frechet_surfaces.geometry import dist_triangle_triangle
@@ -127,18 +126,6 @@ def test_component_extensive_vs_projection_oracle(rng):
         assert mine == ok
         done += 1
     assert done >= 10
-
-
-def test_threads_give_same_answer(rng):
-    f, g = random_surface_pair(rng, tri_range=(4, 6))
-    eps = 0.6
-    graph = build_graph(f, g, eps)
-    comps = graph.components()
-    if not comps:
-        pytest.skip("empty graph for this draw")
-    for comp in comps[:2]:
-        assert component_extensive(comp, f, g, eps, threads=1) == \
-            component_extensive(comp, f, g, eps, threads=4)
 
 
 def test_svg_dump(tmp_path, rng):

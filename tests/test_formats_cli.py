@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from frechet_surfaces.cli import main
-from frechet_surfaces.formats import (FormatError, load_surface, save_surface,
-                                      parse_tolerance, surface_from_dict)
+from frechet_surfaces.formats import (FormatError, curve_from_dict, load_surface,
+                                      save_surface, parse_tolerance,
+                                      surface_from_dict)
 from .conftest import flat_surface, random_surface, translate_surface
 
 
@@ -46,12 +47,20 @@ def test_missing_field_rejected():
 
 
 def test_bad_rational_rejected():
-    doc = {"dimension": 2,
-           "param_vertices": [["0/0", "0"], [1, 0], [1, 1]],
-           "triangles": [[0, 1, 2]],
-           "image_vertices": [[0, 0], [1, 0], [1, 1]]}
-    with pytest.raises(FormatError):
-        surface_from_dict(doc)
+    def surface(pv0, iv0):
+        return {"dimension": 2,
+                "param_vertices": [pv0, [1, 0], [1, 1]],
+                "triangles": [[0, 1, 2]],
+                "image_vertices": [iv0, [1, 0], [1, 1]]}
+    for doc in (surface(["0/0", "0"], [0, 0]),
+                surface([0, 0], ["nan", 0]),
+                surface([0, 0], [0, "abc"]),
+                surface([0, 0], [None, 0])):
+        with pytest.raises(FormatError):
+            surface_from_dict(doc)
+    for bad in ("nan", "abc", "1/0", None):
+        with pytest.raises(FormatError):
+            curve_from_dict({"dimension": 2, "vertices": [[0, 0], [bad, 1]]})
 
 
 def test_parse_tolerance():
@@ -97,6 +106,19 @@ def test_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["validate", str(p)], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_non_finite_eps_exit_2(tmp_path, capsys):
+    pa = write_surface(tmp_path / "a.json", flat_surface())
+    pc = write_curve(tmp_path / "c.json", [[0, 0], [1, 0]])
+    svg = str(tmp_path / "out.svg")
+    for args in (["decide", pa, pa], ["curve", "decide", pc, pc],
+                 ["dump-svg", "arrangement", pa, pa, "--svg", svg]):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(args + [f"--eps={bad}"])
+            assert exc.value.code == 2
+            assert "--eps" in capsys.readouterr().err
 
 
 def test_decide_true_false(tmp_path, capsys):
@@ -261,6 +283,7 @@ def test_tolerance_flag_effective(tmp_path, capsys):
     code, out, _ = run_cli(["--tolerance", "1e-6,1e-9", "validate", pa], capsys)
     assert code == 0
     cfg = json.loads(out.strip().splitlines()[0])["config"]
+    assert sorted(cfg) == ["budget", "mode", "svg", "tolerance"]
     assert cfg["tolerance"]["rel"] == 1e-6
     assert cfg["tolerance"]["abs"] == 1e-9
 

@@ -3,7 +3,7 @@
 Core entry points:
     decide / compute            weak Fréchet decision and distance
     critical_values_C1 / _2c    candidate critical values
-    build_graph                 free-space cell graph
+    build_graph / PairGeometry  free-space cell graph, eps-independent distances
     curve_decide_* / curve_compute   polygonal-curve analogues
     semi_compute_stream         decreasing Fréchet upper bounds
 """
@@ -16,8 +16,8 @@ from .geometry import (ConicArc, GeometryError, Plane2Frame,
 from .surface import (ParamTriangulation, Surface, ValidationError,
                       barycentric_subdivide, eval_surface, lipschitz_constant,
                       mesh_size, subdivide_times, validate)
-from .freespace import (FreeSpaceGraph, boundary_cell_nonempty, build_graph,
-                        cell_nonempty, components)
+from .freespace import (FreeSpaceGraph, PairGeometry, boundary_cell_nonempty,
+                        build_graph, cell_nonempty, components)
 from .coverage import component_extensive, triangle_covered
 from .criticals import CriticalValue, critical_values_C1, critical_values_2c
 from .decision import (WeakFrechetResult, compute, decide, hausdorff_sampled,
@@ -39,7 +39,7 @@ __all__ = [
     "ParamTriangulation", "Surface", "ValidationError",
     "barycentric_subdivide", "eval_surface", "lipschitz_constant",
     "mesh_size", "subdivide_times", "validate",
-    "FreeSpaceGraph", "boundary_cell_nonempty", "build_graph",
+    "FreeSpaceGraph", "PairGeometry", "boundary_cell_nonempty", "build_graph",
     "cell_nonempty", "components",
     "component_extensive", "triangle_covered",
     "CriticalValue", "critical_values_C1", "critical_values_2c",

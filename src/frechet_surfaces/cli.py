@@ -17,14 +17,10 @@ from .coverage import triangle_covered
 from .criticals import critical_values_C1, critical_values_2c
 from .formats import (FormatError, RunConfig, load_curve, load_surface,
                       parse_tolerance)
-from .freespace import build_graph
+from .freespace import PairGeometry, build_graph
 from .geometry import GeometryError
 from .semifrechet import Budget, semi_compute_stream
 from .surface import ValidationError, require_valid, validate
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _finite_float(text):
@@ -67,7 +63,7 @@ def build_parser():
     sp = sub.add_parser("criticals", help="enumerate critical values")
     sp.add_argument("fileA")
     sp.add_argument("fileB")
-    sp.add_argument("--with-2c", nargs=2, type=float, metavar=("LO", "HI"),
+    sp.add_argument("--with-2c", nargs=2, type=_finite_float, metavar=("LO", "HI"),
                     default=None, help="also enumerate type-2c values in [LO, HI]")
 
     sp = sub.add_parser("semi", help="stream decreasing Fréchet upper bounds")
@@ -76,7 +72,7 @@ def build_parser():
     sp.add_argument("--budget-pairs", type=int, default=4)
     sp.add_argument("--budget-candidates", type=int, default=64)
     sp.add_argument("--budget-chainlen", type=int, default=3)
-    sp.add_argument("--budget-seconds", type=float, default=None)
+    sp.add_argument("--budget-seconds", type=_finite_float, default=None)
     sp.add_argument("--pairs-m-2m", action="store_true",
                     help="enumerate only subdivision pairs (m, 2m)")
 
@@ -121,9 +117,11 @@ def run(argv=None):
     if args.command == "decide":
         print(cfg.header_json())
         f, g = _load_two_surfaces(args, tol)
-        ok, witness = decision.decide(f, g, args.eps, tol, validated=True)
+        geometry = PairGeometry(f, g, tol)
+        ok, witness = decision.decide(f, g, args.eps, tol, validated=True,
+                                      geometry=geometry)
         if args.dump_graph:
-            graph = build_graph(f, g, args.eps, tol)
+            graph = build_graph(f, g, args.eps, tol, geometry)
             with open(args.dump_graph, "w", encoding="utf-8") as fh:
                 fh.write(graph.adjacency_text())
         print("true" if ok else "false")
@@ -144,10 +142,12 @@ def run(argv=None):
     if args.command == "criticals":
         print(cfg.header_json())
         f, g = _load_two_surfaces(args, tol)
-        vals = critical_values_C1(f, g, tol)
+        geometry = PairGeometry(f, g, tol)
+        vals = critical_values_C1(f, g, tol, geometry=geometry)
         if args.with_2c is not None:
             lo, hi = args.with_2c
-            vals = sorted(vals + critical_values_2c(f, g, lo, hi, tol),
+            vals = sorted(vals + critical_values_2c(f, g, lo, hi, tol,
+                                                    geometry=geometry),
                           key=lambda c: (c.value, c.kind))
         print(json.dumps({"criticals": [cv.as_dict() for cv in vals]},
                          sort_keys=True))

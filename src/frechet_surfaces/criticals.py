@@ -16,11 +16,10 @@ from itertools import combinations
 import numpy as np
 
 from .scalar import DEFAULT_TOL, DegeneratePolynomialError, quadratic_roots
-from .geometry import (closest_point_triangle, conic_conic_points, cross_norm,
-                       dist_point_triangle, dist_segment_triangle,
-                       dist_triangle_triangle, closest_segment_segment,
-                       frame_of_triangle, vadd, vcross3, vdot, vnorm, vscale,
-                       vsub)
+from .freespace import PairGeometry
+from .geometry import (closest_point_triangle, cross_norm, dist_point_triangle,
+                       closest_segment_segment, frame_of_triangle, vcross3,
+                       vdot, vnorm, vscale, vsub)
 
 
 @dataclass(frozen=True)
@@ -106,16 +105,27 @@ def _feature_sqdist_quadratic(seg, tri, feature):
     return (lamd * lamd, 2.0 * lam0 * lamd, lam0 * lam0)
 
 
-def equidistance_values_on_segment(seg, tri_a, tri_b, tol=DEFAULT_TOL):
+def segment_features(seg, tri):
+    """What equidistance_values_on_segment needs of one triangle along one
+    segment, whatever the other triangle: the parameters where its nearest
+    feature can switch, and the squared-distance quadratic of each feature."""
+    return (_region_breakpoints_on_segment(seg, tri),
+            {feat: _feature_sqdist_quadratic(seg, tri, feat) for feat in _FEATURES})
+
+
+def equidistance_values_on_segment(seg, tri_a, tri_b, tol=DEFAULT_TOL,
+                                   features=None):
     """Common distances at points of the segment equidistant to both triangles.
 
     The segment is cut at every parameter where either triangle's nearest
     feature can change; on each piece both squared distances are quadratics,
     so equidistance reduces to a quadratic equation.  Every root is verified
-    against the true distances before being reported."""
-    ts = sorted(set([0.0, 1.0]
-                    + _region_breakpoints_on_segment(seg, tri_a)
-                    + _region_breakpoints_on_segment(seg, tri_b)))
+    against the true distances before being reported.  `features` is the
+    pair (segment_features(seg, tri_a), segment_features(seg, tri_b)) when
+    the caller already holds it."""
+    (breaks_a, quads_a), (breaks_b, quads_b) = features or (
+        segment_features(seg, tri_a), segment_features(seg, tri_b))
+    ts = sorted(set([0.0, 1.0] + breaks_a + breaks_b))
     s0, s1 = seg
     out = []
     slack = 1e-9
@@ -126,8 +136,8 @@ def equidistance_values_on_segment(seg, tri_a, tri_b, tol=DEFAULT_TOL):
         pm = tuple(a + tm * (b - a) for a, b in zip(s0, s1))
         _, feat_a = closest_point_triangle(pm, tri_a)
         _, feat_b = closest_point_triangle(pm, tri_b)
-        qa = _feature_sqdist_quadratic(seg, tri_a, feat_a)
-        qb = _feature_sqdist_quadratic(seg, tri_b, feat_b)
+        qa = quads_a[feat_a]
+        qb = quads_b[feat_b]
         diff = (qa[0] - qb[0], qa[1] - qb[1], qa[2] - qb[2])
         if max(abs(c) for c in diff) == 0.0:
             continue  # identical quadratics: equidistant on the whole piece;
@@ -158,8 +168,10 @@ def _triangle_normal(tri):
     return _unit(vcross3(vsub(tri[1], tri[0]), vsub(tri[2], tri[0])))
 
 
-def parallel_pair_values(f, g, tol=DEFAULT_TOL):
-    """Distances between parallel (edge|triangle) image feature pairs."""
+def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
+    """Distances between parallel (edge|triangle) image feature pairs.  Edge
+    and triangle distances are read from the pair's PairGeometry."""
+    geometry = PairGeometry.of(f, g, tol, geometry)
     out = []
     f_edges = [(e, f.image_segment(e)) for e in f.param.edges()]
     g_edges = [(e, g.image_segment(e)) for e in g.param.edges()]
@@ -178,7 +190,7 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL):
             nl = _triangle_normal(tl)
             if nl is not None and zero(abs(vdot(uk, nl))):
                 out.append(CriticalValue(
-                    dist_segment_triangle(sk, tl, tol), "T2d",
+                    geometry.f_edge_dist(ek, lt), "T2d",
                     ("K-edge", ek, "L-tri", lt)))
     for (el, sl) in g_edges:
         ul = _unit(vsub(sl[1], sl[0]))
@@ -186,7 +198,7 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL):
             nk = _triangle_normal(tk)
             if nk is not None and zero(abs(vdot(ul, nk))):
                 out.append(CriticalValue(
-                    dist_segment_triangle(sl, tk, tol), "T2d",
+                    geometry.g_edge_dist(el, kt), "T2d",
                     ("L-edge", el, "K-tri", kt)))
     for (kt, tk) in f_tris:
         nk = _triangle_normal(tk)
@@ -194,7 +206,7 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL):
             nl = _triangle_normal(tl)
             if nk is not None and nl is not None and zero(cross_norm(nk, nl)):
                 out.append(CriticalValue(
-                    dist_triangle_triangle(tk, tl, tol), "T2d",
+                    geometry.cell_dist[kt][lt], "T2d",
                     ("K-tri", kt, "L-tri", lt)))
             elif nk is None and nl is None:
                 # d=2: every triangle pair is "parallel" only in the degenerate
@@ -207,17 +219,20 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL):
 # C1 = T1, T2a, T2b, T2d
 # ---------------------------------------------------------------------------
 
-def critical_values_C1(f, g, tol=DEFAULT_TOL):
-    """All type 1/2a/2b/2d candidates, sorted ascending, deduplicated per kind."""
+def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None):
+    """All type 1/2a/2b/2d candidates, sorted ascending, deduplicated per kind.
+
+    T1 and the distances of T2d are read from `geometry`, the pair's
+    PairGeometry (a fresh one when omitted)."""
+    geometry = PairGeometry.of(f, g, tol, geometry)
     vals = []
 
-    for (tagE, tagT, se, st) in (("K-edge", "L-tri", f, g), ("L-edge", "K-tri", g, f)):
-        tris = [(i, st.image_triangle(i)) for i in range(st.n_triangles)]
+    for (tagE, tagT, se, st, edge_dist) in (
+            ("K-edge", "L-tri", f, g, geometry.f_edge_dist),
+            ("L-edge", "K-tri", g, f, geometry.g_edge_dist)):
         for e in se.param.edges():
-            seg = se.image_segment(e)
-            for (ti, tri) in tris:
-                vals.append(CriticalValue(
-                    dist_segment_triangle(seg, tri, tol), "T1", (tagE, e, tagT, ti)))
+            for ti in range(st.n_triangles):
+                vals.append(CriticalValue(edge_dist(e, ti), "T1", (tagE, e, tagT, ti)))
 
     for (tagV, tagT, sv, st) in (("K-vertex", "L-tri", f, g), ("L-vertex", "K-tri", g, f)):
         tris = [(i, st.image_triangle(i)) for i in range(st.n_triangles)]
@@ -230,11 +245,13 @@ def critical_values_C1(f, g, tol=DEFAULT_TOL):
         tris = [(i, st.image_triangle(i)) for i in range(st.n_triangles)]
         for e in se.param.edges():
             seg = se.image_segment(e)
-            for (i, ta), (j, tb) in combinations(tris, 2):
-                for v in equidistance_values_on_segment(seg, ta, tb, tol):
+            feats = [(i, tri, segment_features(seg, tri)) for (i, tri) in tris]
+            for (i, ta, fa), (j, tb, fb) in combinations(feats, 2):
+                for v in equidistance_values_on_segment(seg, ta, tb, tol,
+                                                        features=(fa, fb)):
                     vals.append(CriticalValue(v, "T2b", (tagE, e, tagT, (i, j))))
 
-    vals.extend(parallel_pair_values(f, g, tol))
+    vals.extend(parallel_pair_values(f, g, tol, geometry=geometry))
     return dedup_critical_values(vals, tol)
 
 
@@ -540,20 +557,28 @@ def triple_equidistance_values(frame, tri2d, others, lo, hi, tol=DEFAULT_TOL):
     return out
 
 
-def critical_values_2c(f, g, lo, hi, tol=DEFAULT_TOL):
+def critical_values_2c(f, g, lo, hi, tol=DEFAULT_TOL, geometry=None):
     """Type-2c candidates in [lo, hi]: for each image triangle of one surface,
-    equidistance points of triples of the other surface's triangles within it."""
+    equidistance points of triples of the other surface's triangles within it.
+    Triangle distances are read from `geometry`, the pair's PairGeometry (a
+    fresh one when omitted)."""
     if lo > hi:
         return []
+    geometry = PairGeometry.of(f, g, tol, geometry)
+    rows = geometry.cell_dist
+    # the triangle distance is symmetric (the minimum of the same six
+    # segment-triangle distances in either order), so g's side reads the
+    # transposed table
     vals = []
-    for (tagT, tagO, sq, so) in (("K-tri", "L-tris", f, g), ("L-tri", "K-tris", g, f)):
+    for (tagT, tagO, sq, so, dist) in (("K-tri", "L-tris", f, g, rows),
+                                       ("L-tri", "K-tris", g, f, list(zip(*rows)))):
         o_tris = [(i, so.image_triangle(i)) for i in range(so.n_triangles)]
         for q in range(sq.n_triangles):
             tri_img = sq.image_triangle(q)
             frame = frame_of_triangle(tri_img, tol)
             tri2d = [frame.to_plane(p) for p in tri_img]
             near = [(i, tri) for (i, tri) in o_tris
-                    if dist_triangle_triangle(tri_img, tri, tol) <= hi + tol.gap(hi)]
+                    if dist[q][i] <= hi + tol.gap(hi)]
             if len(near) < 3:
                 continue
             for val, triple in triple_equidistance_values(frame, tri2d, near,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .scalar import DEFAULT_TOL
 from .coverage import component_extensive
 from .criticals import critical_values_C1, critical_values_2c
-from .freespace import build_graph
+from .freespace import PairGeometry, build_graph
 from .geometry import dist_points_mesh
 from .surface import (image_diameter_bound, require_valid, sample_image_points)
 
@@ -35,15 +35,16 @@ class WeakFrechetResult:
         }
 
 
-def decide(f, g, eps, tol=DEFAULT_TOL, validated=False):
+def decide(f, g, eps, tol=DEFAULT_TOL, validated=False, *, geometry=None):
     """Weak Fréchet decision at eps.  Returns (verdict, witness_component);
-    the witness is the extensive component (list of cells) or None."""
+    the witness is the extensive component (list of cells) or None.
+    `geometry` is the pair's PairGeometry when several decisions share it."""
     if eps < 0.0:
         return False, None
     if not validated:
         require_valid(f, tol)
         require_valid(g, tol)
-    graph = build_graph(f, g, eps, tol)
+    graph = build_graph(f, g, eps, tol, geometry)
     for comp in graph.components():
         if component_extensive(comp, f, g, eps, tol):
             return True, comp
@@ -72,18 +73,20 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
 
     "exact" mode walks the enumerated critical values (types 1/2a/2b/2d, then
     type-2c candidates inside the final bracket); "bisect" mode bisects the
-    bracket down to tolerance instead of enumerating type-2c values.
+    bracket down to tolerance instead of enumerating type-2c values.  All
+    probes and candidate families share one PairGeometry of the pair.
     """
     if mode not in (MODE_EXACT, MODE_BISECT):
         raise ValueError(f"unknown mode {mode!r}")
     require_valid(f, tol)
     require_valid(g, tol)
+    geometry = PairGeometry(f, g, tol)
 
     probes = []
     witnesses = {}
 
     def probe(eps):
-        ok, wit = decide(f, g, eps, tol, validated=True)
+        ok, wit = decide(f, g, eps, tol, validated=True, geometry=geometry)
         probes.append((eps, ok))
         if ok:
             witnesses[eps] = wit
@@ -98,7 +101,7 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     if probe(0.0):
         return WeakFrechetResult(0.0, 0.0, witnesses[0.0], mode, probes)
 
-    c1 = critical_values_C1(f, g, tol)
+    c1 = critical_values_C1(f, g, tol, geometry=geometry)
     vals = []
     for cv in c1:
         if cv.value <= 10.0 * tol.gap(cv.value):
@@ -117,7 +120,8 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     bracket_lo = vals[hi_i - 1] if hi_i > 0 else 0.0
 
     if mode == MODE_EXACT:
-        c2 = critical_values_2c(f, g, bracket_lo, bracket_hi, tol)
+        c2 = critical_values_2c(f, g, bracket_lo, bracket_hi, tol,
+                                geometry=geometry)
         inner = []
         for cv in c2:
             gapv = 10.0 * tol.gap(cv.value)
@@ -145,7 +149,8 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
         else distance
     witness = witnesses.get(witness_eps)
     if witness is None:
-        ok, witness = decide(f, g, witness_eps, tol, validated=True)
+        ok, witness = decide(f, g, witness_eps, tol, validated=True,
+                             geometry=geometry)
         probes.append((witness_eps, ok))
     return WeakFrechetResult(distance, witness_eps, witness or [], mode, probes)
 

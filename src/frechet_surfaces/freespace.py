@@ -4,6 +4,10 @@ Vertices are the nonempty cells (pairs of triangles whose images come within
 eps); edges join neighboring cells whose shared boundary cell (a parameter
 edge of one triangulation times a triangle of the other) is nonempty.  Cells
 meeting only at a parameter vertex are not adjacent.
+
+Which cells and boundary cells are nonempty depends only on fixed image
+distances, which PairGeometry holds once per pair; a graph at one eps is
+those distances thresholded at eps, plus union-find.
 """
 
 from dataclasses import dataclass, field
@@ -91,50 +95,97 @@ class FreeSpaceGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_graph(f, g, eps, tol=DEFAULT_TOL):
+def _interior_edges(param):
+    """(edge, t1, t2) for every parameter edge shared by two triangles."""
+    out = []
+    for edge, tris in sorted(param.edge_map().items()):
+        if len(tris) == 2:
+            t1, t2 = sorted(tris)
+            out.append((edge, t1, t2))
+    return out
+
+
+class PairGeometry:
+    """The eps-independent distances of a surface pair, computed at most once.
+
+    `cell_dist[k][l]` is the image distance of triangle k of f and triangle l
+    of g, computed for every cell up front: any free-space graph needs all of
+    them.  Boundary-cell distances (an image edge of one surface against an
+    image triangle of the other) are computed the first time one is asked
+    for, so a single graph costs no more distance work than the cells it
+    actually joins.  The interior parameter edges of both surfaces are kept
+    too, as (edge, t1, t2) with t1 < t2.  One geometry serves every eps of
+    one computation and lives no longer than it.
+    """
+
+    def __init__(self, f, g, tol=DEFAULT_TOL):
+        self.f, self.g, self.tol = f, g, tol
+        self.f_tris = f.image_triangles()
+        self.g_tris = g.image_triangles()
+        self.cell_dist = [[dist_triangle_triangle(a, b, tol) for b in self.g_tris]
+                          for a in self.f_tris]
+        self.f_interior = _interior_edges(f.param)
+        self.g_interior = _interior_edges(g.param)
+        self._f_edge_dist = {}
+        self._g_edge_dist = {}
+
+    @classmethod
+    def of(cls, f, g, tol, geometry=None):
+        """`geometry` after checking that it was built for (f, g, tol), or a
+        new geometry of the pair when it is None."""
+        if geometry is None:
+            return cls(f, g, tol)
+        if geometry.f is not f or geometry.g is not g or geometry.tol != tol:
+            raise ValueError("geometry was built for another surface pair or tolerance")
+        return geometry
+
+    def f_edge_dist(self, edge, l):
+        """Distance of f's image edge to g's image triangle l."""
+        key = (edge, l)
+        d = self._f_edge_dist.get(key)
+        if d is None:
+            d = self._f_edge_dist[key] = dist_segment_triangle(
+                self.f.image_segment(edge), self.g_tris[l], self.tol)
+        return d
+
+    def g_edge_dist(self, edge, k):
+        """Distance of g's image edge to f's image triangle k."""
+        key = (edge, k)
+        d = self._g_edge_dist.get(key)
+        if d is None:
+            d = self._g_edge_dist[key] = dist_segment_triangle(
+                self.g.image_segment(edge), self.f_tris[k], self.tol)
+        return d
+
+
+def build_graph(f, g, eps, tol=DEFAULT_TOL, geometry=None):
     """Free-space graph at eps: nonempty cells, adjacency through nonempty
-    boundary cells, and union-find component labels."""
+    boundary cells, and union-find component labels.  `geometry` is the
+    pair's PairGeometry, shared across calls at different eps; a fresh one
+    is built when it is omitted."""
+    geometry = PairGeometry.of(f, g, tol, geometry)
     m = f.n_triangles
     n = g.n_triangles
-    f_imgs = f.image_triangles()
-    g_imgs = g.image_triangles()
 
-    cells = set()
-    for k in range(m):
-        for l in range(n):
-            d = dist_triangle_triangle(f_imgs[k], g_imgs[l], tol)
-            if within(d, eps, tol):
-                cells.add((k, l))
-
+    cells = {(k, l) for k, row in enumerate(geometry.cell_dist)
+             for l, d in enumerate(row) if within(d, eps, tol)}
     vertices = sorted(cells)
     uf = UnionFind(vertices)
     edges = []
 
-    em_f = f.param.edge_map()
-    for edge, tris in sorted(em_f.items()):
-        if len(tris) != 2:
-            continue
-        k1, k2 = sorted(tris)
-        seg = f.image_segment(edge)
+    for edge, k1, k2 in geometry.f_interior:
         for l in range(n):
-            if (k1, l) in cells and (k2, l) in cells:
-                d = dist_segment_triangle(seg, g_imgs[l], tol)
-                if within(d, eps, tol):
-                    edges.append(((k1, l), (k2, l)))
-                    uf.union((k1, l), (k2, l))
+            if ((k1, l) in cells and (k2, l) in cells
+                    and within(geometry.f_edge_dist(edge, l), eps, tol)):
+                edges.append(((k1, l), (k2, l)))
+                uf.union((k1, l), (k2, l))
 
-    em_g = g.param.edge_map()
-    for edge, tris in sorted(em_g.items()):
-        if len(tris) != 2:
-            continue
-        l1, l2 = sorted(tris)
-        seg = g.image_segment(edge)
+    for edge, l1, l2 in geometry.g_interior:
         for k in range(m):
-            if (k, l1) in cells and (k, l2) in cells:
-                d = dist_segment_triangle(seg, f_imgs[k], tol)
-                if within(d, eps, tol):
-                    edges.append(((k, l1), (k, l2)))
-                    uf.union((k, l1), (k, l2))
+            if ((k, l1) in cells and (k, l2) in cells
+                    and within(geometry.g_edge_dist(edge, k), eps, tol)):
+                edges.append(((k, l1), (k, l2)))
+                uf.union((k, l1), (k, l2))
 
     component_of = {v: uf.find(v) for v in vertices}
     return FreeSpaceGraph(eps=eps, vertices=vertices, edges=sorted(edges),

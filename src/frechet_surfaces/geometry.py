@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scalar import (DEFAULT_TOL, DegeneratePolynomialError, Ordering, cmp,
-                     poly_add, poly_mul, poly_scale, poly_sub, quadratic_roots,
-                     real_roots)
+from .scalar import (DEFAULT_TOL, DegeneratePolynomialError, Ordering, Tolerance,
+                     cmp, poly_add, poly_mul, poly_scale, poly_sub,
+                     quadratic_roots, real_roots)
 
 TWO_PI = 2.0 * math.pi
 
@@ -344,14 +344,16 @@ def dist_points_mesh(points, triangles):
 
 @dataclass(frozen=True)
 class Plane2Frame:
-    """Orthonormal 2D coordinate frame spanning a plane in R^d."""
+    """Orthonormal 2D coordinate frame spanning a plane in R^d.  The basis is
+    checked for orthonormality under `tol`, which rotated frames keep."""
 
     origin: tuple
     b1: tuple
     b2: tuple
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
-        tol = DEFAULT_TOL
+        tol = self.tol
         if not (tol.zero(vnorm(self.b1) - 1.0, 1.0) and tol.zero(vnorm(self.b2) - 1.0, 1.0)
                 and tol.zero(vdot(self.b1, self.b2), 1.0)):
             raise GeometryError("plane frame basis must be orthonormal")
@@ -390,20 +392,20 @@ class Plane2Frame:
         c, s = math.cos(angle), math.sin(angle)
         nb1 = vadd(vscale(self.b1, c), vscale(self.b2, s))
         nb2 = vadd(vscale(self.b1, -s), vscale(self.b2, c))
-        return Plane2Frame(self.origin, nb1, nb2)
+        return Plane2Frame(self.origin, nb1, nb2, self.tol)
 
 
 def frame_of_triangle(tri, tol=DEFAULT_TOL):
     """Orthonormal frame of the plane supporting a (non-degenerate) triangle."""
     check_triangle(tri, tol)
     if len(tri[0]) == 2:
-        return Plane2Frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        return Plane2Frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), tol)
     e1 = vsub(tri[1], tri[0])
     b1 = vscale(e1, 1.0 / vnorm(e1))
     e2 = vsub(tri[2], tri[0])
     e2p = vsub(e2, vscale(b1, vdot(e2, b1)))
     b2 = vscale(e2p, 1.0 / vnorm(e2p))
-    return Plane2Frame(tri[0], b1, b2)
+    return Plane2Frame(tri[0], b1, b2, tol)
 
 
 def identity_frame_2d():

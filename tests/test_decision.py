@@ -6,6 +6,7 @@ import pytest
 from frechet_surfaces import (ValidationError, compute, decide,
                               critical_values_2c, critical_values_C1,
                               hausdorff_sampled)
+from frechet_surfaces import freespace
 from frechet_surfaces.decision import MODE_BISECT, MODE_EXACT
 from .conftest import (flat_surface, random_surface, random_surface_pair,
                        translate_surface, two_triangle_square)
@@ -193,3 +194,42 @@ def test_result_fields_and_probes(rng):
     falses = [e for e, ok in res.probes if not ok]
     if trues and falses:
         assert min(trues) >= max(falses) - 1e-12
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compute_computes_each_cell_distance_once(rng, monkeypatch):
+    calls = _count_calls(monkeypatch, freespace, "dist_triangle_triangle")
+    for _ in range(3):
+        f, g = random_surface_pair(rng, tri_range=(4, 6))
+        calls.clear()
+        res = compute(f, g, mode=MODE_BISECT)
+        assert len(res.probes) > 2
+        assert len(calls) == f.n_triangles * g.n_triangles
+
+
+def test_compute_probes_match_one_shot_decides(rng):
+    f, g = random_surface_pair(rng, tri_range=(4, 5))
+    for mode in (MODE_BISECT, MODE_EXACT):
+        res = compute(f, g, mode=mode)
+        for eps, ok in res.probes:
+            assert decide(f, g, eps)[0] == ok, (mode, eps)
+
+
+def test_decide_below_cell_distances_computes_no_boundary_distance(monkeypatch):
+    calls = _count_calls(monkeypatch, freespace, "dist_segment_triangle")
+    f = flat_surface()
+    g = translate_surface(f, (0.0, 0.0, 1.0))
+    assert not decide(f, g, 0.5)[0]
+    assert calls == []
+    assert decide(f, g, 1.5)[0]
+    assert calls

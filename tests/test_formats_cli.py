@@ -121,6 +121,18 @@ def test_non_finite_eps_exit_2(tmp_path, capsys):
             assert "--eps" in capsys.readouterr().err
 
 
+def test_non_finite_option_values_exit_2(tmp_path, capsys):
+    pa = write_surface(tmp_path / "a.json", flat_surface())
+    for args, option in ((["criticals", pa, pa, "--with-2c", "nan", "1"], "--with-2c"),
+                         (["criticals", pa, pa, "--with-2c", "0", "inf"], "--with-2c"),
+                         (["semi", pa, pa, "--budget-seconds", "nan"], "--budget-seconds"),
+                         (["semi", pa, pa, "--budget-seconds", "inf"], "--budget-seconds")):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
+
 def test_decide_true_false(tmp_path, capsys):
     f = flat_surface()
     g = translate_surface(f, (0.0, 0.0, 0.5))

@@ -1,7 +1,8 @@
 import pytest
 
-from frechet_surfaces import (boundary_cell_nonempty, build_graph, cell_nonempty,
-                              components)
+from frechet_surfaces import (PairGeometry, boundary_cell_nonempty, build_graph,
+                              cell_nonempty, components, dist_segment_triangle,
+                              dist_triangle_triangle)
 from .conftest import flat_surface, random_surface_pair, translate_surface
 from .oracles import bfs_components
 
@@ -94,3 +95,44 @@ def test_adjacency_text_deterministic(rng):
     b = build_graph(f, g, 0.5).adjacency_text()
     assert a == b
     assert "vertices" in a
+
+
+def test_pair_geometry_matches_direct_distances(rng):
+    for _ in range(3):
+        f, g = random_surface_pair(rng, tri_range=(4, 7))
+        geo = PairGeometry(f, g)
+        for k in range(f.n_triangles):
+            for l in range(g.n_triangles):
+                assert geo.cell_dist[k][l] == dist_triangle_triangle(
+                    f.image_triangle(k), g.image_triangle(l))
+        for e in f.param.edges():
+            for l in range(g.n_triangles):
+                assert geo.f_edge_dist(e, l) == dist_segment_triangle(
+                    f.image_segment(e), g.image_triangle(l))
+        for e in g.param.edges():
+            for k in range(f.n_triangles):
+                assert geo.g_edge_dist(e, k) == dist_segment_triangle(
+                    g.image_segment(e), f.image_triangle(k))
+
+
+def test_shared_geometry_graph_equals_fresh(rng):
+    for _ in range(3):
+        f, g = random_surface_pair(rng, tri_range=(4, 7))
+        geo = PairGeometry(f, g)
+        for eps in (1.0, 0.05, 0.3, 0.6, 0.15, 2.0):
+            shared = build_graph(f, g, eps, geometry=geo)
+            fresh = build_graph(f, g, eps)
+            assert shared.vertices == fresh.vertices
+            assert shared.edges == fresh.edges
+            assert components(shared) == components(fresh)
+            assert shared.adjacency_text() == fresh.adjacency_text()
+
+
+def test_build_graph_rejects_foreign_geometry(rng):
+    from frechet_surfaces import Tolerance
+    f, g = random_surface_pair(rng, tri_range=(4, 5))
+    geo = PairGeometry(f, g)
+    with pytest.raises(ValueError):
+        build_graph(g, f, 0.5, geometry=geo)
+    with pytest.raises(ValueError):
+        build_graph(f, g, 0.5, Tolerance(rel=1e-6), geometry=geo)

@@ -147,6 +147,17 @@ def test_coplanar_offset_polygon():
             assert abs(a.rx - 0.1) < 1e-12
 
 
+def test_plane_frame_uses_caller_tolerance():
+    from frechet_surfaces import Tolerance
+    loose = Tolerance(rel=1e-6)
+    b1 = (1.0 + 1e-7, 0.0, 0.0)
+    frame = Plane2Frame((0.0, 0.0, 0.0), b1, (0.0, 1.0, 0.0), loose)
+    assert frame.rotated(0.3).tol == loose
+    with pytest.raises(GeometryError):
+        Plane2Frame((0.0, 0.0, 0.0), b1, (0.0, 1.0, 0.0))
+    assert frame_of_triangle(TRI, loose).rotated(0.3).tol == loose
+
+
 def test_plane_too_far_is_empty():
     frame = Plane2Frame((0.0, 0.0, 0.1), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     sl = eps_neighborhood_plane_boundary(TRI, 0.05, frame)

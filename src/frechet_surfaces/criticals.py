@@ -17,9 +17,10 @@ import numpy as np
 
 from .scalar import DEFAULT_TOL, DegeneratePolynomialError, quadratic_roots
 from .freespace import PairGeometry
-from .geometry import (closest_point_triangle, cross_norm, dist_point_triangle,
-                       closest_segment_segment, frame_of_triangle, vcross3,
-                       vdot, vnorm, vscale, vsub)
+from .geometry import (closest_point_segment, closest_point_triangle,
+                       cross_norm, dist_point_triangle, closest_segment_segment,
+                       frame_of_triangle, vcross3, vdist, vdot, vnorm, vscale,
+                       vsub)
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
 def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None):
     """All type 1/2a/2b/2d candidates, sorted ascending, deduplicated per kind.
 
-    T1 and the distances of T2d are read from `geometry`, the pair's
+    T1, T2a and the distances of T2d are read from `geometry`, the pair's
     PairGeometry (a fresh one when omitted)."""
     geometry = PairGeometry.of(f, g, tol, geometry)
     vals = []
@@ -234,12 +235,13 @@ def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None):
             for ti in range(st.n_triangles):
                 vals.append(CriticalValue(edge_dist(e, ti), "T1", (tagE, e, tagT, ti)))
 
-    for (tagV, tagT, sv, st) in (("K-vertex", "L-tri", f, g), ("L-vertex", "K-tri", g, f)):
-        tris = [(i, st.image_triangle(i)) for i in range(st.n_triangles)]
-        for vi, p in enumerate(sv.image):
-            for (ti, tri) in tris:
-                vals.append(CriticalValue(
-                    dist_point_triangle(p, tri, tol), "T2a", (tagV, vi, tagT, ti)))
+    for (tagV, tagT, sv, st, vertex_dist) in (
+            ("K-vertex", "L-tri", f, g, geometry.f_vertex_dist),
+            ("L-vertex", "K-tri", g, f, geometry.g_vertex_dist)):
+        for vi in range(len(sv.image)):
+            for ti in range(st.n_triangles):
+                vals.append(CriticalValue(vertex_dist(vi, ti), "T2a",
+                                          (tagV, vi, tagT, ti)))
 
     for (tagE, tagT, se, st) in (("K-edge", "L-tris", f, g), ("L-edge", "K-tris", g, f)):
         tris = [(i, st.image_triangle(i)) for i in range(st.n_triangles)]
@@ -451,34 +453,85 @@ def _conic_value(c, x, y):
     return A * x * x + B * x * y + C * y * y + D * x + E * y + F
 
 
-def triple_equidistance_values(frame, tri2d, others, lo, hi, tol=DEFAULT_TOL):
+def _feature_ranges(geometry, q_on_f, q, i):
+    """Range (lb, ub) of the distance from the points of image triangle q to
+    each of the seven _FEATURES of image triangle i of the other surface, in
+    _FEATURES order.  q is a triangle of f and i one of g when `q_on_f`, and
+    the other way round otherwise.
+
+    lb is the distance of the whole triangle q to the feature, read from
+    `geometry`.  The distance to a convex set is convex, so over q it is
+    largest at a vertex of q: ub is the largest of the three vertex
+    distances.  At a 2c point of q the common value is the distance to each
+    triangle's nearest feature, so it lies in that feature's range."""
+    if q_on_f:
+        sq, so = geometry.f, geometry.g
+        q_vertex_dist, o_vertex_dist = geometry.f_vertex_dist, geometry.g_vertex_dist
+        o_edge_dist = geometry.g_edge_dist
+        face_lb = geometry.cell_dist[q][i]
+    else:
+        sq, so = geometry.g, geometry.f
+        q_vertex_dist, o_vertex_dist = geometry.g_vertex_dist, geometry.f_vertex_dist
+        o_edge_dist = geometry.f_edge_dist
+        face_lb = geometry.cell_dist[i][q]
+    q_verts = sq.param.triangles[q]
+    o_verts = so.param.triangles[i]
+    q_pts = [sq.image[v] for v in q_verts]
+    o_pts = [so.image[v] for v in o_verts]
+    ranges = [(o_vertex_dist(v, q), max(vdist(p, o_pts[a]) for p in q_pts))
+              for a, v in enumerate(o_verts)]
+    for a in range(3):
+        b = (a + 1) % 3
+        va, vb = o_verts[a], o_verts[b]
+        ub = max(vdist(p, closest_point_segment(p, o_pts[a], o_pts[b])[0])
+                 for p in q_pts)
+        ranges.append((o_edge_dist((va, vb) if va < vb else (vb, va), q), ub))
+    ranges.append((face_lb, max(q_vertex_dist(v, i) for v in q_verts)))
+    return ranges
+
+
+def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
+                               tol=DEFAULT_TOL):
     """Equidistance values of triangle triples within an image triangle.
 
     `others` is a list of (index, triangle) candidates already filtered by
-    distance; returns (value, (i, j, k)) tuples with lo <= value <= hi.
+    distance, and `ranges[a]` the _feature_ranges of others[a] over the image
+    triangle; returns (value, (i, j, k)) tuples with lo <= value <= hi.
 
-    For each feature combination the two pairwise bisectors of the squared
-    distance conics are intersected; the x-resultants of all combinations are
-    solved in one batch, and every surviving point is verified against the
-    true triangle distances before its common value is reported."""
+    At a triple point with a value in [lo, hi] that value lies in the range
+    of each triangle's nearest feature, so a feature whose range misses
+    [lo, hi] and a feature combination whose three ranges do not overlap are
+    dropped (within a pad far above the verification slack).  For each
+    remaining combination the two pairwise bisectors of the squared distance
+    conics are intersected; the x-resultants of all combinations are solved
+    in one batch, and every surviving point is verified against the true
+    triangle distances before its common value is reported."""
     out = []
     txs = [p[0] for p in tri2d]
     tys = [p[1] for p in tri2d]
     tri_box = np.array([min(txs), min(tys), max(txs), max(tys)])
     scale = max(1.0, hi)
     slack = 1e-7 * scale
+    pad = 1e-4 * scale
 
     n_feat = len(_FEATURES)
     n_others = len(others)
+    rng_arr = np.array(ranges, dtype=float)
+    lb_arr = rng_arr[:, :, 0]
+    ub_arr = rng_arr[:, :, 1]
+    live = (lb_arr <= hi + pad) & (ub_arr >= lo - pad)
     conic_arr = np.full((n_others, n_feat, 6), np.nan)
     box_arr = np.full((n_others, n_feat, 4), np.nan)
     for a, (oi, tri) in enumerate(others):
         for fi, feat in enumerate(_FEATURES):
+            if not live[a, fi]:
+                continue
             c = _feature_sqdist_conic(frame, tri, feat)
             if c is None:
                 continue
             conic_arr[a, fi] = c
             box_arr[a, fi] = _feature_bbox(frame, tri, feat, hi * 1.0001)
+    alive = [a for a in range(n_others) if not np.isnan(conic_arr[a, :, 0]).all()]
 
     fi_g, fj_g, fk_g = np.meshgrid(np.arange(n_feat), np.arange(n_feat),
                                    np.arange(n_feat), indexing="ij")
@@ -486,7 +539,7 @@ def triple_equidistance_values(frame, tri2d, others, lo, hi, tol=DEFAULT_TOL):
     fj_g = fj_g.ravel()
     fk_g = fk_g.ravel()
 
-    for (ia, ib, ic) in combinations(range(n_others), 3):
+    for (ia, ib, ic) in combinations(alive, 3):
         i, tri_i = others[ia]
         j, tri_j = others[ib]
         k, tri_k = others[ic]
@@ -502,10 +555,14 @@ def triple_equidistance_values(frame, tri2d, others, lo, hi, tol=DEFAULT_TOL):
                                    box_arr[ic][fk_g, 1], np.full(len(fi_g), tri_box[1])])
         bhi_y = np.minimum.reduce([box_arr[ia][fi_g, 3], box_arr[ib][fj_g, 3],
                                    box_arr[ic][fk_g, 3], np.full(len(fi_g), tri_box[3])])
+        lb_max = np.maximum.reduce([lb_arr[ia][fi_g], lb_arr[ib][fj_g],
+                                    lb_arr[ic][fk_g]])
+        ub_min = np.minimum.reduce([ub_arr[ia][fi_g], ub_arr[ib][fj_g],
+                                    ub_arr[ic][fk_g]])
         C1 = Ci - Cj
         C2 = Ci - Ck
         with np.errstate(invalid="ignore"):
-            keep = ((blo_x <= bhi_x) & (blo_y <= bhi_y)
+            keep = ((blo_x <= bhi_x) & (blo_y <= bhi_y) & (lb_max <= ub_min + pad)
                     & ~np.isnan(C1).any(axis=1) & ~np.isnan(C2).any(axis=1)
                     & (np.abs(C1).max(axis=1) > 1e-12)
                     & (np.abs(C2).max(axis=1) > 1e-12))
@@ -560,8 +617,8 @@ def triple_equidistance_values(frame, tri2d, others, lo, hi, tol=DEFAULT_TOL):
 def critical_values_2c(f, g, lo, hi, tol=DEFAULT_TOL, geometry=None):
     """Type-2c candidates in [lo, hi]: for each image triangle of one surface,
     equidistance points of triples of the other surface's triangles within it.
-    Triangle distances are read from `geometry`, the pair's PairGeometry (a
-    fresh one when omitted)."""
+    Triangle, edge and vertex distances are read from `geometry`, the pair's
+    PairGeometry (a fresh one when omitted)."""
     if lo > hi:
         return []
     geometry = PairGeometry.of(f, g, tol, geometry)
@@ -581,7 +638,9 @@ def critical_values_2c(f, g, lo, hi, tol=DEFAULT_TOL, geometry=None):
                     if dist[q][i] <= hi + tol.gap(hi)]
             if len(near) < 3:
                 continue
+            ranges = [_feature_ranges(geometry, tagT == "K-tri", q, i)
+                      for (i, _) in near]
             for val, triple in triple_equidistance_values(frame, tri2d, near,
-                                                          lo, hi, tol):
+                                                          ranges, lo, hi, tol):
                 vals.append(CriticalValue(val, "T2c", (tagT, q, tagO, triple)))
     return dedup_critical_values(vals, tol)

@@ -13,7 +13,8 @@ those distances thresholded at eps, plus union-find.
 from dataclasses import dataclass, field
 
 from .scalar import DEFAULT_TOL, Ordering, cmp
-from .geometry import dist_segment_triangle, dist_triangle_triangle
+from .geometry import (dist_point_triangle, dist_segment_triangle,
+                       dist_triangle_triangle)
 
 
 class UnionFind:
@@ -109,25 +110,28 @@ class PairGeometry:
     """The eps-independent distances of a surface pair, computed at most once.
 
     `cell_dist[k][l]` is the image distance of triangle k of f and triangle l
-    of g, computed for every cell up front: any free-space graph needs all of
-    them.  Boundary-cell distances (an image edge of one surface against an
-    image triangle of the other) are computed the first time one is asked
-    for, so a single graph costs no more distance work than the cells it
-    actually joins.  The interior parameter edges of both surfaces are kept
-    too, as (edge, t1, t2) with t1 < t2.  One geometry serves every eps of
-    one computation and lives no longer than it.
+    of g; the whole table is computed the first time it is read, since any
+    free-space graph needs all of it.  Boundary-cell distances (an image edge
+    of one surface against an image triangle of the other) and vertex
+    distances (an image vertex of one surface against an image triangle of
+    the other, the T2a values) are computed the first time one is asked for,
+    so a single graph costs no more distance work than the cells it actually
+    joins.  The interior parameter edges of both surfaces are kept too, as
+    (edge, t1, t2) with t1 < t2.  One geometry serves every eps of one
+    computation and lives no longer than it.
     """
 
     def __init__(self, f, g, tol=DEFAULT_TOL):
         self.f, self.g, self.tol = f, g, tol
         self.f_tris = f.image_triangles()
         self.g_tris = g.image_triangles()
-        self.cell_dist = [[dist_triangle_triangle(a, b, tol) for b in self.g_tris]
-                          for a in self.f_tris]
         self.f_interior = _interior_edges(f.param)
         self.g_interior = _interior_edges(g.param)
+        self._cell_dist = None
         self._f_edge_dist = {}
         self._g_edge_dist = {}
+        self._f_vertex_dist = {}
+        self._g_vertex_dist = {}
 
     @classmethod
     def of(cls, f, g, tol, geometry=None):
@@ -138,6 +142,14 @@ class PairGeometry:
         if geometry.f is not f or geometry.g is not g or geometry.tol != tol:
             raise ValueError("geometry was built for another surface pair or tolerance")
         return geometry
+
+    @property
+    def cell_dist(self):
+        if self._cell_dist is None:
+            self._cell_dist = [
+                [dist_triangle_triangle(a, b, self.tol) for b in self.g_tris]
+                for a in self.f_tris]
+        return self._cell_dist
 
     def f_edge_dist(self, edge, l):
         """Distance of f's image edge to g's image triangle l."""
@@ -155,6 +167,24 @@ class PairGeometry:
         if d is None:
             d = self._g_edge_dist[key] = dist_segment_triangle(
                 self.g.image_segment(edge), self.f_tris[k], self.tol)
+        return d
+
+    def f_vertex_dist(self, v, l):
+        """Distance of f's image vertex v to g's image triangle l."""
+        key = (v, l)
+        d = self._f_vertex_dist.get(key)
+        if d is None:
+            d = self._f_vertex_dist[key] = dist_point_triangle(
+                self.f.image[v], self.g_tris[l], self.tol)
+        return d
+
+    def g_vertex_dist(self, v, k):
+        """Distance of g's image vertex v to f's image triangle k."""
+        key = (v, k)
+        d = self._g_vertex_dist.get(key)
+        if d is None:
+            d = self._g_vertex_dist[key] = dist_point_triangle(
+                self.g.image[v], self.f_tris[k], self.tol)
         return d
 
 

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from frechet_surfaces import (CriticalValue, critical_values_2c,
-                              critical_values_C1)
-from frechet_surfaces.criticals import equidistance_values_on_segment
-from frechet_surfaces.geometry import dist_point_triangle
+from frechet_surfaces import (CriticalValue, PairGeometry, critical_values_2c,
+                              critical_values_C1, freespace)
+from frechet_surfaces.criticals import (_FEATURES, _feature_ranges,
+                                        equidistance_values_on_segment)
+from frechet_surfaces.geometry import (closest_point_segment, dist_point_triangle,
+                                       vdist)
 from frechet_surfaces.surface import ParamTriangulation, Surface
 from frechet_surfaces import validate
 from .conftest import flat_surface, random_surface_pair, random_triangle, \
     translate_surface
+from .test_decision import _count_calls
 
 
 def kinds_with_value(vals, target, tol=1e-9):
@@ -30,6 +33,16 @@ def test_identical_surfaces_have_zero_T1():
     f = flat_surface()
     vals = critical_values_C1(f, f)
     assert any(cv.kind == "T1" and cv.value <= 1e-12 for cv in vals)
+
+
+def test_C1_without_parallel_triangles_computes_no_cell_distance(rng,
+                                                                 monkeypatch):
+    calls = _count_calls(monkeypatch, freespace, "dist_triangle_triangle")
+    f, g = random_surface_pair(rng, tri_range=(4, 6))
+    vals = critical_values_C1(f, g)
+    assert not any(cv.kind == "T2d" and cv.provenance[0] == "K-tri"
+                   for cv in vals)
+    assert calls == []
 
 
 def test_sorted_and_deduped(rng):
@@ -225,3 +238,48 @@ def test_t2c_random_candidates_are_genuine(rng):
         # scan found some near-equidistant point; our value is one of the
         # equidistance events so it should not undercut the scan's best
         assert dev < 5e-2
+
+
+def test_t2c_narrow_bracket_keeps_symmetric_value():
+    # the shape of the bracket that compute hands to 2c: pruning by feature
+    # distance ranges is tightest here
+    fq, g = make_symmetric_2c_instance()
+    expected = dist_point_triangle((0.0, 0.0, 0.0), g.image_triangle(0))
+    vals = critical_values_2c(fq, g, expected * (1.0 - 1e-6),
+                              expected * (1.0 + 1e-6))
+    hits = [cv for cv in vals if abs(cv.value - expected) < 1e-9]
+    assert any(set(cv.provenance[3]) == {0, 2, 4} for cv in hits), \
+        ([cv.value for cv in vals], expected)
+
+
+def _feature_distance(p, tri, feature):
+    kind, idx = feature
+    if kind == "vertex":
+        return vdist(p, tri[idx])
+    if kind == "edge":
+        q, _ = closest_point_segment(p, tri[idx], tri[(idx + 1) % 3])
+        return vdist(p, q)
+    return dist_point_triangle(p, tri)
+
+
+def test_feature_ranges_bound_sampled_distances(rng):
+    n = 6
+    grid = [(a / n, b / n, (n - a - b) / n)
+            for a in range(n + 1) for b in range(n + 1 - a)]
+    for _ in range(4):
+        f, g = random_surface_pair(rng, tri_range=(4, 6))
+        geo = PairGeometry(f, g)
+        for q_on_f, sq, so in ((True, f, g), (False, g, f)):
+            for q in range(sq.n_triangles):
+                tq = sq.image_triangle(q)
+                pts = [tuple(wa * x + wb * y + wc * z
+                             for x, y, z in zip(*tq)) for wa, wb, wc in grid]
+                for i in range(so.n_triangles):
+                    ti = so.image_triangle(i)
+                    ranges = _feature_ranges(geo, q_on_f, q, i)
+                    assert len(ranges) == len(_FEATURES)
+                    for (lb, ub), feat in zip(ranges, _FEATURES):
+                        assert lb <= ub
+                        for p in pts:
+                            d = _feature_distance(p, ti, feat)
+                            assert lb - 1e-12 <= d <= ub + 1e-12, (feat, lb, d, ub)

@@ -1,8 +1,8 @@
 import pytest
 
 from frechet_surfaces import (PairGeometry, boundary_cell_nonempty, build_graph,
-                              cell_nonempty, components, dist_segment_triangle,
-                              dist_triangle_triangle)
+                              cell_nonempty, components, dist_point_triangle,
+                              dist_segment_triangle, dist_triangle_triangle)
 from .conftest import flat_surface, random_surface_pair, translate_surface
 from .oracles import bfs_components
 
@@ -113,6 +113,14 @@ def test_pair_geometry_matches_direct_distances(rng):
             for k in range(f.n_triangles):
                 assert geo.g_edge_dist(e, k) == dist_segment_triangle(
                     g.image_segment(e), f.image_triangle(k))
+        for v, p in enumerate(f.image):
+            for l in range(g.n_triangles):
+                assert geo.f_vertex_dist(v, l) == dist_point_triangle(
+                    p, g.image_triangle(l))
+        for v, p in enumerate(g.image):
+            for k in range(f.n_triangles):
+                assert geo.g_vertex_dist(v, k) == dist_point_triangle(
+                    p, f.image_triangle(k))
 
 
 def test_shared_geometry_graph_equals_fresh(rng):

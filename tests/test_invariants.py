@@ -1,0 +1,51 @@
+"""Exact invariants of the weak Fréchet distance, checked in exact mode on
+seeded random pairs: it is symmetric in its two surfaces, unchanged by a
+rigid motion of both images, and scales linearly with both images."""
+
+import numpy as np
+
+from frechet_surfaces import DEFAULT_TOL, Surface, compute
+from .conftest import random_surface_pair
+
+PAIRS = 6
+
+
+def _pairs(rng):
+    return [random_surface_pair(rng, tri_range=(4, 6)) for _ in range(PAIRS)]
+
+
+def _mapped(s, fn):
+    return Surface.create(s.param, [tuple(float(c) for c in fn(np.asarray(p)))
+                                    for p in s.image])
+
+
+def _close(a, b):
+    return abs(a - b) <= 10.0 * DEFAULT_TOL.gap(max(abs(a), abs(b)))
+
+
+def test_distance_is_symmetric(rng):
+    for f, g in _pairs(rng):
+        d_fg = compute(f, g).distance
+        d_gf = compute(g, f).distance
+        assert _close(d_fg, d_gf), (d_fg, d_gf)
+
+
+def test_rigid_motion_leaves_distance_unchanged(rng):
+    for f, g in _pairs(rng):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        rot = q * np.sign(np.diag(r))
+        if np.linalg.det(rot) < 0.0:
+            rot[:, 0] = -rot[:, 0]
+        shift = rng.uniform(-2.0, 2.0, size=3)
+        move = lambda p: rot @ p + shift
+        d = compute(f, g).distance
+        d_moved = compute(_mapped(f, move), _mapped(g, move)).distance
+        assert _close(d, d_moved), (d, d_moved)
+
+
+def test_uniform_scaling_scales_distance(rng):
+    for f, g in _pairs(rng):
+        scale = lambda p: 3.0 * p
+        d = compute(f, g).distance
+        d_scaled = compute(_mapped(f, scale), _mapped(g, scale)).distance
+        assert _close(3.0 * d, d_scaled), (3.0 * d, d_scaled)

@@ -191,7 +191,7 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
             nl = _triangle_normal(tl)
             if nl is not None and zero(abs(vdot(uk, nl))):
                 out.append(CriticalValue(
-                    geometry.f_edge_dist(ek, lt), "T2d",
+                    geometry.f_edge_dist[ek][lt], "T2d",
                     ("K-edge", ek, "L-tri", lt)))
     for (el, sl) in g_edges:
         ul = _unit(vsub(sl[1], sl[0]))
@@ -199,7 +199,7 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
             nk = _triangle_normal(tk)
             if nk is not None and zero(abs(vdot(ul, nk))):
                 out.append(CriticalValue(
-                    geometry.g_edge_dist(el, kt), "T2d",
+                    geometry.g_edge_dist[el][kt], "T2d",
                     ("L-edge", el, "K-tri", kt)))
     for (kt, tk) in f_tris:
         nk = _triangle_normal(tk)
@@ -233,14 +233,14 @@ def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None):
             ("L-edge", "K-tri", g, f, geometry.g_edge_dist)):
         for e in se.param.edges():
             for ti in range(st.n_triangles):
-                vals.append(CriticalValue(edge_dist(e, ti), "T1", (tagE, e, tagT, ti)))
+                vals.append(CriticalValue(edge_dist[e][ti], "T1", (tagE, e, tagT, ti)))
 
     for (tagV, tagT, sv, st, vertex_dist) in (
             ("K-vertex", "L-tri", f, g, geometry.f_vertex_dist),
             ("L-vertex", "K-tri", g, f, geometry.g_vertex_dist)):
         for vi in range(len(sv.image)):
             for ti in range(st.n_triangles):
-                vals.append(CriticalValue(vertex_dist(vi, ti), "T2a",
+                vals.append(CriticalValue(vertex_dist[vi][ti], "T2a",
                                           (tagV, vi, tagT, ti)))
 
     for (tagE, tagT, se, st) in (("K-edge", "L-tris", f, g), ("L-edge", "K-tris", g, f)):
@@ -310,10 +310,6 @@ def _feature_sqdist_conic(frame, tri, feature):
             2.0 * alpha * gamma, 2.0 * beta * gamma, gamma * gamma)
 
 
-def _conic_diff(c1, c2):
-    return tuple(a - b for a, b in zip(c1, c2))
-
-
 def _feature_bbox(frame, tri, feature, pad):
     kind, idx = feature
     if kind == "vertex":
@@ -326,16 +322,6 @@ def _feature_bbox(frame, tri, feature, pad):
     xs = [p[0] for p in uv]
     ys = [p[1] for p in uv]
     return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
-
-
-def _bbox_intersect(b1, b2):
-    xlo = max(b1[0], b2[0])
-    ylo = max(b1[1], b2[1])
-    xhi = min(b1[2], b2[2])
-    yhi = min(b1[3], b2[3])
-    if xlo > xhi or ylo > yhi:
-        return None
-    return (xlo, ylo, xhi, yhi)
 
 
 def _point_in_triangle_2d(p, tri2d, slack):
@@ -478,15 +464,15 @@ def _feature_ranges(geometry, q_on_f, q, i):
     o_verts = so.param.triangles[i]
     q_pts = [sq.image[v] for v in q_verts]
     o_pts = [so.image[v] for v in o_verts]
-    ranges = [(o_vertex_dist(v, q), max(vdist(p, o_pts[a]) for p in q_pts))
+    ranges = [(o_vertex_dist[v][q], max(vdist(p, o_pts[a]) for p in q_pts))
               for a, v in enumerate(o_verts)]
     for a in range(3):
         b = (a + 1) % 3
         va, vb = o_verts[a], o_verts[b]
         ub = max(vdist(p, closest_point_segment(p, o_pts[a], o_pts[b])[0])
                  for p in q_pts)
-        ranges.append((o_edge_dist((va, vb) if va < vb else (vb, va), q), ub))
-    ranges.append((face_lb, max(q_vertex_dist(v, i) for v in q_verts)))
+        ranges.append((o_edge_dist[(va, vb) if va < vb else (vb, va)][q], ub))
+    ranges.append((face_lb, max(q_vertex_dist[v][i] for v in q_verts)))
     return ranges
 
 

@@ -11,10 +11,12 @@ those distances thresholded at eps, plus union-find.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .scalar import DEFAULT_TOL, Ordering, cmp
-from .geometry import (dist_point_triangle, dist_segment_triangle,
-                       dist_triangle_triangle)
+from .batched import (point_triangle_table, segment_triangle_table,
+                      triangle_triangle_table)
+from .geometry import dist_segment_triangle, dist_triangle_triangle
 
 
 class UnionFind:
@@ -109,16 +111,22 @@ def _interior_edges(param):
 class PairGeometry:
     """The eps-independent distances of a surface pair, computed at most once.
 
-    `cell_dist[k][l]` is the image distance of triangle k of f and triangle l
-    of g; the whole table is computed the first time it is read, since any
-    free-space graph needs all of it.  Boundary-cell distances (an image edge
-    of one surface against an image triangle of the other) and vertex
-    distances (an image vertex of one surface against an image triangle of
-    the other, the T2a values) are computed the first time one is asked for,
-    so a single graph costs no more distance work than the cells it actually
-    joins.  The interior parameter edges of both surfaces are kept too, as
-    (edge, t1, t2) with t1 < t2.  One geometry serves every eps of one
-    computation and lives no longer than it.
+    Five tables, each filled whole by one batched computation the first time
+    it is read:
+
+        cell_dist[k][l]      image triangle k of f to image triangle l of g
+        f_edge_dist[e][l]    f's image edge e (a vertex-index pair) to g's
+                             image triangle l (boundary cells, T1)
+        g_edge_dist[e][k]    g's image edge e to f's image triangle k
+        f_vertex_dist[v][l]  f's image vertex v to g's image triangle l (T2a)
+        g_vertex_dist[v][k]  g's image vertex v to f's image triangle k
+
+    Each entry equals the scalar geometry routine's value bit for bit.  A
+    graph without two adjacent nonempty cells reads no edge table, and C1
+    without parallel triangles no cell table.  The interior parameter edges
+    of both surfaces are kept too, as (edge, t1, t2) with t1 < t2.  One
+    geometry serves every eps of one computation and lives no longer than
+    it.
     """
 
     def __init__(self, f, g, tol=DEFAULT_TOL):
@@ -127,11 +135,6 @@ class PairGeometry:
         self.g_tris = g.image_triangles()
         self.f_interior = _interior_edges(f.param)
         self.g_interior = _interior_edges(g.param)
-        self._cell_dist = None
-        self._f_edge_dist = {}
-        self._g_edge_dist = {}
-        self._f_vertex_dist = {}
-        self._g_vertex_dist = {}
 
     @classmethod
     def of(cls, f, g, tol, geometry=None):
@@ -143,49 +146,32 @@ class PairGeometry:
             raise ValueError("geometry was built for another surface pair or tolerance")
         return geometry
 
-    @property
+    @cached_property
     def cell_dist(self):
-        if self._cell_dist is None:
-            self._cell_dist = [
-                [dist_triangle_triangle(a, b, self.tol) for b in self.g_tris]
-                for a in self.f_tris]
-        return self._cell_dist
+        return triangle_triangle_table(self.f_tris, self.g_tris, self.tol)
 
-    def f_edge_dist(self, edge, l):
-        """Distance of f's image edge to g's image triangle l."""
-        key = (edge, l)
-        d = self._f_edge_dist.get(key)
-        if d is None:
-            d = self._f_edge_dist[key] = dist_segment_triangle(
-                self.f.image_segment(edge), self.g_tris[l], self.tol)
-        return d
+    @cached_property
+    def f_edge_dist(self):
+        return _edge_table(self.f, self.g_tris, self.tol)
 
-    def g_edge_dist(self, edge, k):
-        """Distance of g's image edge to f's image triangle k."""
-        key = (edge, k)
-        d = self._g_edge_dist.get(key)
-        if d is None:
-            d = self._g_edge_dist[key] = dist_segment_triangle(
-                self.g.image_segment(edge), self.f_tris[k], self.tol)
-        return d
+    @cached_property
+    def g_edge_dist(self):
+        return _edge_table(self.g, self.f_tris, self.tol)
 
-    def f_vertex_dist(self, v, l):
-        """Distance of f's image vertex v to g's image triangle l."""
-        key = (v, l)
-        d = self._f_vertex_dist.get(key)
-        if d is None:
-            d = self._f_vertex_dist[key] = dist_point_triangle(
-                self.f.image[v], self.g_tris[l], self.tol)
-        return d
+    @cached_property
+    def f_vertex_dist(self):
+        return point_triangle_table(self.f.image, self.g_tris, self.tol)
 
-    def g_vertex_dist(self, v, k):
-        """Distance of g's image vertex v to f's image triangle k."""
-        key = (v, k)
-        d = self._g_vertex_dist.get(key)
-        if d is None:
-            d = self._g_vertex_dist[key] = dist_point_triangle(
-                self.g.image[v], self.f_tris[k], self.tol)
-        return d
+    @cached_property
+    def g_vertex_dist(self):
+        return point_triangle_table(self.g.image, self.f_tris, self.tol)
+
+
+def _edge_table(s, tris, tol):
+    """{edge of s: its image edge's distance to each of tris}."""
+    edges = s.param.edges()
+    rows = segment_triangle_table([s.image_segment(e) for e in edges], tris, tol)
+    return dict(zip(edges, rows))
 
 
 def build_graph(f, g, eps, tol=DEFAULT_TOL, geometry=None):
@@ -206,14 +192,14 @@ def build_graph(f, g, eps, tol=DEFAULT_TOL, geometry=None):
     for edge, k1, k2 in geometry.f_interior:
         for l in range(n):
             if ((k1, l) in cells and (k2, l) in cells
-                    and within(geometry.f_edge_dist(edge, l), eps, tol)):
+                    and within(geometry.f_edge_dist[edge][l], eps, tol)):
                 edges.append(((k1, l), (k2, l)))
                 uf.union((k1, l), (k2, l))
 
     for edge, l1, l2 in geometry.g_interior:
         for k in range(m):
             if ((k, l1) in cells and (k, l2) in cells
-                    and within(geometry.g_edge_dist(edge, k), eps, tol)):
+                    and within(geometry.g_edge_dist[edge][k], eps, tol)):
                 edges.append(((k, l1), (k, l2)))
                 uf.union((k, l1), (k, l2))
 

@@ -39,7 +39,13 @@ def vscale(a, s):
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    # An explicit left fold, ((0 + x0*y0) + x1*y1) + x2*y2: sum() of floats
+    # compensates rounding from Python 3.12 on, and the kernels of batched.py
+    # apply this function to arrays to repeat the order exactly.
+    s = 0
+    for x, y in zip(a, b):
+        s = s + x * y
+    return s
 
 
 def vnorm(a):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .scalar import DEFAULT_TOL
 from .geometry import vdist
 from .freespace import UnionFind
-from .surface import subdivide_times, lipschitz_constant, mesh_size
+from .surface import subdivide_times
 
 
 class InvalidCandidateError(ValueError):
@@ -472,9 +472,3 @@ def semi_compute_stream(f, g, budget, tol=DEFAULT_TOL):
             if val < best:
                 best = val
                 yield (val, m, n, cand.index)
-
-
-def identity_stream_bound(f, m):
-    """Upper bound for the identity candidate at subdivision level m."""
-    fs = subdivide_times(f, m)
-    return lipschitz_constant(f) * mesh_size(fs.param)

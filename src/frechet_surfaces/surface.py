@@ -69,12 +69,6 @@ class ParamTriangulation:
         return (self.vertices[i], self.vertices[j], self.vertices[k])
 
 
-def _on_square_boundary(p, tol):
-    x, y = p
-    g = tol.gap(1.0)
-    return (abs(x) <= g or abs(x - 1.0) <= g or abs(y) <= g or abs(y - 1.0) <= g)
-
-
 def _edge_on_square_boundary(a, b, tol):
     g = tol.gap(1.0)
     for c in (0.0, 1.0):
@@ -247,10 +241,6 @@ def eval_surface(surface, p, tol=DEFAULT_TOL):
     pi, pj, pk = surface.image[i], surface.image[j], surface.image[k]
     return tuple(lam[0] * a + lam[1] * b + lam[2] * c
                  for a, b, c in zip(pi, pj, pk))
-
-
-def eval_many(surface, points, tol=DEFAULT_TOL):
-    return [eval_surface(surface, p, tol) for p in points]
 
 
 def barycentric_subdivide(surface):

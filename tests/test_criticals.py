@@ -37,7 +37,7 @@ def test_identical_surfaces_have_zero_T1():
 
 def test_C1_without_parallel_triangles_computes_no_cell_distance(rng,
                                                                  monkeypatch):
-    calls = _count_calls(monkeypatch, freespace, "dist_triangle_triangle")
+    calls = _count_calls(monkeypatch, freespace, "triangle_triangle_table")
     f, g = random_surface_pair(rng, tri_range=(4, 6))
     vals = critical_values_C1(f, g)
     assert not any(cv.kind == "T2d" and cv.provenance[0] == "K-tri"

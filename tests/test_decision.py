@@ -201,20 +201,23 @@ def _count_calls(monkeypatch, module, name):
     orig = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return orig(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_compute_computes_each_cell_distance_once(rng, monkeypatch):
-    calls = _count_calls(monkeypatch, freespace, "dist_triangle_triangle")
+    # the cell table is filled by one batched call over all triangle pairs
+    calls = _count_calls(monkeypatch, freespace, "triangle_triangle_table")
     for _ in range(3):
         f, g = random_surface_pair(rng, tri_range=(4, 6))
         calls.clear()
         res = compute(f, g, mode=MODE_BISECT)
         assert len(res.probes) > 2
-        assert len(calls) == f.n_triangles * g.n_triangles
+        assert len(calls) == 1
+        f_tris, g_tris = calls[0][:2]
+        assert (len(f_tris), len(g_tris)) == (f.n_triangles, g.n_triangles)
 
 
 def test_compute_probes_match_one_shot_decides(rng):
@@ -226,7 +229,7 @@ def test_compute_probes_match_one_shot_decides(rng):
 
 
 def test_decide_below_cell_distances_computes_no_boundary_distance(monkeypatch):
-    calls = _count_calls(monkeypatch, freespace, "dist_segment_triangle")
+    calls = _count_calls(monkeypatch, freespace, "segment_triangle_table")
     f = flat_surface()
     g = translate_surface(f, (0.0, 0.0, 1.0))
     assert not decide(f, g, 0.5)[0]

@@ -107,19 +107,19 @@ def test_pair_geometry_matches_direct_distances(rng):
                     f.image_triangle(k), g.image_triangle(l))
         for e in f.param.edges():
             for l in range(g.n_triangles):
-                assert geo.f_edge_dist(e, l) == dist_segment_triangle(
+                assert geo.f_edge_dist[e][l] == dist_segment_triangle(
                     f.image_segment(e), g.image_triangle(l))
         for e in g.param.edges():
             for k in range(f.n_triangles):
-                assert geo.g_edge_dist(e, k) == dist_segment_triangle(
+                assert geo.g_edge_dist[e][k] == dist_segment_triangle(
                     g.image_segment(e), f.image_triangle(k))
         for v, p in enumerate(f.image):
             for l in range(g.n_triangles):
-                assert geo.f_vertex_dist(v, l) == dist_point_triangle(
+                assert geo.f_vertex_dist[v][l] == dist_point_triangle(
                     p, g.image_triangle(l))
         for v, p in enumerate(g.image):
             for k in range(f.n_triangles):
-                assert geo.g_vertex_dist(v, k) == dist_point_triangle(
+                assert geo.g_vertex_dist[v][k] == dist_point_triangle(
                     p, f.image_triangle(k))
 
 

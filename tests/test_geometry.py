@@ -1,11 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from frechet_surfaces.batched import (_best_edge_point,
+                                      batch_closest_point_triangle,
+                                      batch_closest_segment_segment,
+                                      batch_dist_point_triangle,
+                                      batch_dist_segment_triangle,
+                                      batch_dist_triangle_triangle,
+                                      batch_segment_crosses_triangle,
+                                      point_triangle_table,
+                                      segment_triangle_table,
+                                      triangle_triangle_table)
 from frechet_surfaces.geometry import (GeometryError, OverlappingArcsError,
                                        arc_pair_intersections,
+                                       closest_point_segment,
                                        closest_point_triangle,
+                                       closest_segment_segment,
                                        dist_point_triangle, dist_points_triangle,
                                        dist_segment_triangle,
                                        dist_triangle_triangle,
@@ -13,7 +26,7 @@ from frechet_surfaces.geometry import (GeometryError, OverlappingArcsError,
                                        frame_of_triangle, identity_frame_2d,
                                        make_circle_arc, make_segment_arc,
                                        Plane2Frame, SLICE_EMPTY, SLICE_BOUNDARY,
-                                       vdist)
+                                       segment_crosses_triangle, vdist)
 from .oracles import (sample_triangle, sampled_point_triangle,
                       sampled_segment_triangle, sampled_triangle_triangle)
 
@@ -119,6 +132,161 @@ def test_batch_matches_scalar(rng):
     batch = dist_points_triangle(pts, tri)
     for p, d in zip(pts, batch):
         assert abs(d - dist_point_triangle(tuple(p), tri)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batched kernels: every lane equals the scalar routine (==)
+# ---------------------------------------------------------------------------
+
+def _floats(p):
+    return tuple(float(x) for x in p)
+
+
+def _lanes(points):
+    """A list of points as one point of coordinate arrays."""
+    return tuple(np.array(c, dtype=float) for c in zip(*points))
+
+
+def _lane(point, i):
+    return tuple(x[i] for x in point)
+
+
+def _grid(d, values):
+    return [_floats(p) for p in itertools.product(values, repeat=d)]
+
+
+# right, acute, obtuse and sliver triangles with integer vertices, so that
+# integer grid points fall exactly on the boundaries of their Voronoi regions
+_INT_TRIANGLES = {
+    2: (((0, 0), (4, 0), (0, 4)), ((0, 0), (4, 1), (1, 3)),
+        ((1, -2), (3, 2), (-2, 1)), ((0, 0), (6, 0), (5, 1))),
+    3: (((0, 0, 0), (4, 0, 0), (0, 4, 0)), ((0, 0, 1), (3, 1, 0), (1, 3, 2)),
+        ((-1, 2, 0), (2, -1, 1), (1, 1, -2)), ((0, 0, 0), (6, 0, 0), (5, 1, 1))),
+}
+
+
+def _triangles(rng, d):
+    from .conftest import random_triangle
+    return ([tuple(_floats(p) for p in t) for t in _INT_TRIANGLES[d]]
+            + [random_triangle(rng, d=d, scale=3.0) for _ in range(4)])
+
+
+def _segments(points):
+    """Every ordered pair of the points, zero-length segments included."""
+    return [(a, b) for a in points for b in points]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_point_triangle_equals_scalar(rng, d):
+    pts = _grid(d, range(-2, 7)) + [_floats(p)
+                                    for p in rng.uniform(-2, 6, size=(100, d))]
+    lanes = _lanes(pts)
+    for tri in _triangles(rng, d):
+        q = batch_closest_point_triangle(lanes, tri)
+        dist = batch_dist_point_triangle(lanes, tri)
+        for i, p in enumerate(pts):
+            assert _lane(q, i) == closest_point_triangle(p, tri)[0], (p, tri)
+            assert dist[i] == dist_point_triangle(p, tri), (p, tri)
+
+
+def test_batch_best_edge_fallback_equals_scalar(rng):
+    # closest_point_triangle falls back to the nearest edge when its face
+    # denominator is 0.0.  Only rounding gets there (the edge regions of
+    # exactly collinear vertices cover every point), so the fallback is
+    # checked against the scalar rule directly, on proper and collinear
+    # triangles: the first edge whose distance no later edge beats.
+    for d in (2, 3):
+        collinear = [tuple(_floats(np.array(p) * c) for c in cs) for p in
+                     _grid(d, (1, -2))[:2] for cs in ((0, 1, 3), (2, 0, 1), (1, 1, 4))]
+        pts = _grid(d, range(-2, 5))
+        for tri in _triangles(rng, d) + collinear:
+            got = _best_edge_point(_lanes(pts), tri)
+            for i, p in enumerate(pts):
+                best = None
+                for j in range(3):
+                    q, _ = closest_point_segment(p, tri[j], tri[(j + 1) % 3])
+                    if best is None or vdist(p, q) < best[0]:
+                        best = (vdist(p, q), q)
+                assert _lane(got, i) == best[1], (p, tri)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_segment_segment_equals_scalar(rng, d):
+    # every pair of segments over a small integer grid: parallel, collinear
+    # (overlapping, touching and apart), crossing, zero-length on either or
+    # both sides; then random and nearly parallel pairs
+    grid = _grid(d, (0, 1, 2)) if d == 2 else \
+        [_floats(p) for p in itertools.product((0, 1, 2), (0, 1), (0, 1))]
+    pairs = [(s, t) for s in _segments(grid) for t in _segments(grid)]
+    for _ in range(200):
+        a, b, c = (_floats(p) for p in rng.uniform(-1, 1, size=(3, d)))
+        e = _floats(rng.normal(size=d) * 1e-9)
+        nearly_parallel = tuple(x + y - z + w for x, y, z, w in zip(c, b, a, e))
+        pairs.append(((a, b), (c, nearly_parallel)))
+        pairs.append(((a, b), tuple(_floats(p)
+                                    for p in rng.uniform(-1, 1, size=(2, d)))))
+    (p1, q1), (p2, q2) = ([_lanes(side) for side in zip(*segs)] for segs in zip(*pairs))
+    dist = batch_closest_segment_segment(p1, q1, p2, q2)
+    for i, ((a, b), (c, e)) in enumerate(pairs):
+        assert dist[i] == closest_segment_segment(a, b, c, e)[0], (a, b, c, e)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_segment_triangle_equals_scalar(rng, d):
+    # segments over an integer grid around triangles with integer vertices:
+    # crossings through the interior, an edge or a vertex, endpoints on the
+    # plane, coplanar contact and overlap (3-D), plus random segments
+    if d == 2:
+        grid = _grid(2, range(-1, 4))
+    else:
+        grid = [_floats(p) for p in
+                itertools.product(range(-1, 3), range(-1, 3), (-1, 0, 1))]
+    segs = _segments(grid) + [tuple(_floats(p) for p in rng.uniform(-2, 3, size=(2, d)))
+                              for _ in range(200)]
+    a, b = (_lanes(side) for side in zip(*segs))
+    for tri in _triangles(rng, d):
+        crosses = batch_segment_crosses_triangle(a, b, tri)
+        dist = batch_dist_segment_triangle((a, b), tri)
+        for i, seg in enumerate(segs):
+            assert crosses[i] == segment_crosses_triangle(*seg, tri), (seg, tri)
+            assert dist[i] == dist_segment_triangle(seg, tri), (seg, tri)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_triangle_triangle_equals_scalar(rng, d):
+    # integer triangles against their integer translates (touching, coplanar
+    # overlap, crossing), then random pairs
+    base = _triangles(rng, d)
+    pairs = [(t, tuple(_floats(np.add(p, v)) for p in u))
+             for t in base[:4] for u in base[:4] for v in _grid(d, (-1, 0, 1))]
+    pairs += [(base[i], base[j]) for i in range(len(base)) for j in range(len(base))]
+    pairs += [tuple(tuple(_floats(p) for p in rng.uniform(-1, 1, size=(3, d)))
+                    for _ in range(2)) for _ in range(100)]
+    t1, t2 = ([_lanes(pts) for pts in zip(*side)] for side in zip(*pairs))
+    dist = batch_dist_triangle_triangle(t1, t2)
+    for i, (u, v) in enumerate(pairs):
+        assert dist[i] == dist_triangle_triangle(u, v, degenerate_ok=True), (u, v)
+
+
+def test_tables_equal_scalar_and_check_every_triangle(rng):
+    tris = _triangles(rng, 3)
+    pts = _grid(3, range(-1, 3))
+    segs = list(zip(pts, pts[5:] + pts[:5]))
+    assert point_triangle_table(pts, tris) == \
+        [[dist_point_triangle(p, t) for t in tris] for p in pts]
+    assert segment_triangle_table(segs, tris) == \
+        [[dist_segment_triangle(s, t) for t in tris] for s in segs]
+    assert triangle_triangle_table(tris, tris[::-1]) == \
+        [[dist_triangle_triangle(u, v) for v in tris[::-1]] for u in tris]
+    degen = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
+    with pytest.raises(GeometryError):
+        dist_triangle_triangle(tris[0], degen)
+    for fill in (lambda: point_triangle_table(pts, tris + [degen]),
+                 lambda: segment_triangle_table(segs, [degen] + tris),
+                 lambda: triangle_triangle_table(tris, tris + [degen]),
+                 lambda: triangle_triangle_table([degen], tris)):
+        with pytest.raises(GeometryError):
+            fill()
 
 
 def test_closest_point_features():

@@ -1,10 +1,13 @@
-"""Exact invariants of the weak Fréchet distance, checked in exact mode on
-seeded random pairs: it is symmetric in its two surfaces, unchanged by a
-rigid motion of both images, and scales linearly with both images."""
+"""Exact invariants of the weak Fréchet distance, checked on seeded random
+pairs: it is symmetric in its two surfaces, unchanged by a rigid motion of
+both images, scales linearly with both images (exact mode), and unchanged by
+a barycentric subdivision, which reparameterises a surface without moving any
+image point (bisect mode)."""
 
 import numpy as np
 
-from frechet_surfaces import DEFAULT_TOL, Surface, compute
+from frechet_surfaces import DEFAULT_TOL, Surface, barycentric_subdivide, compute
+from frechet_surfaces.decision import MODE_BISECT
 from .conftest import random_surface_pair
 
 PAIRS = 6
@@ -49,3 +52,10 @@ def test_uniform_scaling_scales_distance(rng):
         d = compute(f, g).distance
         d_scaled = compute(_mapped(f, scale), _mapped(g, scale)).distance
         assert _close(3.0 * d, d_scaled), (3.0 * d, d_scaled)
+
+
+def test_barycentric_subdivision_leaves_distance_unchanged(rng):
+    for f, g in _pairs(rng)[:3]:
+        d = compute(f, g, mode=MODE_BISECT).distance
+        d_sub = compute(barycentric_subdivide(f), g, mode=MODE_BISECT).distance
+        assert _close(d, d_sub), (d, d_sub)

@@ -90,13 +90,14 @@ def batch_closest_point_triangle(p, tri):
     degenerate = denom == 0.0
     if np.any(degenerate):
         q = _bselect(degenerate, _best_edge_point(p, tri), q)
-    q = _bselect((va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0),
-                 vadd(b, vscale(vsub(c, b), (d4 - d3) / ((d4 - d3) + (d5 - d6)))),
-                 q)
-    q = _bselect((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
+    den_a = (d4 - d3) + (d5 - d6)
+    q = _bselect((va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0)
+                 & (den_a != 0.0),
+                 vadd(b, vscale(vsub(c, b), (d4 - d3) / den_a)), q)
+    q = _bselect((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (d2 - d6 != 0.0),
                  vadd(a, vscale(ac, d2 / (d2 - d6))), q)
     q = _bselect((d6 >= 0.0) & (d5 <= d6), c, q)
-    q = _bselect((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
+    q = _bselect((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 - d3 != 0.0),
                  vadd(a, vscale(ab, d1 / (d1 - d3))), q)
     q = _bselect((d3 >= 0.0) & (d4 <= d3), b, q)
     return _bselect((d1 <= 0.0) & (d2 <= 0.0), a, q)

@@ -176,10 +176,42 @@ def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL, svg_path=None)
         return uncovered is None
 
 
-def component_extensive(component, f, g, eps, tol=DEFAULT_TOL):
+class CoverageRecord:
+    """The verdicts of the coverage sweeps run so far for one surface pair,
+    keyed by (side, triangle): side 0 is a triangle of f, side 1 of g.
+
+    Coverage is monotone in eps and in the partner set, so an entry settles
+    more than its own query: a triangle covered at eps0 by partners P0 is
+    covered at every eps >= eps0 by every P containing P0, and one uncovered
+    at eps0 by P0 is uncovered at every eps <= eps0 by every subset of P0.
+    A record belongs to one compute() or decide() call, like PairGeometry.
+    """
+
+    def __init__(self):
+        self._entries = {}  # (side, triangle) -> [(eps, partners, covered)]
+
+    def implied(self, key, eps, partners):
+        """The verdict an earlier entry implies for this query, else None;
+        partners is a frozenset."""
+        for eps0, partners0, covered in self._entries.get(key, ()):
+            if covered:
+                if eps >= eps0 and partners >= partners0:
+                    return True
+            elif eps <= eps0 and partners <= partners0:
+                return False
+        return None
+
+    def add(self, key, eps, partners, covered):
+        self._entries.setdefault(key, []).append((eps, partners, covered))
+
+
+def component_extensive(component, f, g, eps, tol=DEFAULT_TOL, *, record=None):
     """True iff the component's projections cover both parameter spaces, i.e.
     every triangle of f is covered by its partners in the component and
-    symmetrically for g."""
+    symmetrically for g.  `record` is the pair's CoverageRecord when several
+    decisions share it; a sweep runs only for a verdict it does not imply."""
+    if record is None:
+        record = CoverageRecord()
     partners_k = {}
     partners_l = {}
     for (k, l) in component:
@@ -188,9 +220,18 @@ def component_extensive(component, f, g, eps, tol=DEFAULT_TOL):
     if len(partners_k) < f.n_triangles or len(partners_l) < g.n_triangles:
         return False
 
-    jobs = [(f, g, k, sorted(ls)) for k, ls in sorted(partners_k.items())]
-    jobs += [(g, f, l, sorted(ks)) for l, ks in sorted(partners_l.items())]
-    return all(triangle_covered(a, b, t, ps, eps, tol) for a, b, t, ps in jobs)
+    jobs = [(0, f, g, k, ls) for k, ls in sorted(partners_k.items())]
+    jobs += [(1, g, f, l, ks) for l, ks in sorted(partners_l.items())]
+    for side, a, b, t, ps in jobs:
+        key = (side, t)
+        partners = frozenset(ps)
+        covered = record.implied(key, eps, partners)
+        if covered is None:
+            covered = triangle_covered(a, b, t, sorted(ps), eps, tol)
+            record.add(key, eps, partners, covered)
+        if not covered:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

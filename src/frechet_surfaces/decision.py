@@ -10,7 +10,7 @@ candidates ("exact" mode) or by plain bisection ("bisect" mode).
 from dataclasses import dataclass, field
 
 from .scalar import DEFAULT_TOL
-from .coverage import component_extensive
+from .coverage import CoverageRecord, component_extensive
 from .criticals import critical_values_C1, critical_values_2c
 from .freespace import PairGeometry, build_graph
 from .geometry import dist_points_mesh
@@ -35,18 +35,22 @@ class WeakFrechetResult:
         }
 
 
-def decide(f, g, eps, tol=DEFAULT_TOL, validated=False, *, geometry=None):
+def decide(f, g, eps, tol=DEFAULT_TOL, validated=False, *, geometry=None,
+           record=None):
     """Weak Fréchet decision at eps.  Returns (verdict, witness_component);
     the witness is the extensive component (list of cells) or None.
-    `geometry` is the pair's PairGeometry when several decisions share it."""
+    `geometry` and `record` are the pair's PairGeometry and CoverageRecord
+    when several decisions share them."""
     if eps < 0.0:
         return False, None
     if not validated:
         require_valid(f, tol)
         require_valid(g, tol)
+    if record is None:
+        record = CoverageRecord()
     graph = build_graph(f, g, eps, tol, geometry)
     for comp in graph.components():
-        if component_extensive(comp, f, g, eps, tol):
+        if component_extensive(comp, f, g, eps, tol, record=record):
             return True, comp
     return False, None
 
@@ -74,19 +78,22 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     "exact" mode walks the enumerated critical values (types 1/2a/2b/2d, then
     type-2c candidates inside the final bracket); "bisect" mode bisects the
     bracket down to tolerance instead of enumerating type-2c values.  All
-    probes and candidate families share one PairGeometry of the pair.
+    probes and candidate families share one PairGeometry of the pair, and
+    all probes one CoverageRecord.
     """
     if mode not in (MODE_EXACT, MODE_BISECT):
         raise ValueError(f"unknown mode {mode!r}")
     require_valid(f, tol)
     require_valid(g, tol)
     geometry = PairGeometry(f, g, tol)
+    record = CoverageRecord()
 
     probes = []
     witnesses = {}
 
     def probe(eps):
-        ok, wit = decide(f, g, eps, tol, validated=True, geometry=geometry)
+        ok, wit = decide(f, g, eps, tol, validated=True, geometry=geometry,
+                         record=record)
         probes.append((eps, ok))
         if ok:
             witnesses[eps] = wit
@@ -150,7 +157,7 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     witness = witnesses.get(witness_eps)
     if witness is None:
         ok, witness = decide(f, g, witness_eps, tol, validated=True,
-                             geometry=geometry)
+                             geometry=geometry, record=record)
         probes.append((witness_eps, ok))
     return WeakFrechetResult(distance, witness_eps, witness or [], mode, probes)
 

@@ -127,7 +127,9 @@ def closest_point_triangle(p, tri):
         return b, ("vertex", 1)
 
     vc = d1 * d4 - d3 * d2
-    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+    # an edge branch whose denominator is 0 (coincident vertices) is skipped,
+    # so that a later branch or the best-edge fallback answers
+    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0 and d1 - d3 != 0.0:
         t = d1 / (d1 - d3)
         return vadd(a, vscale(ab, t)), ("edge", 0)
 
@@ -138,12 +140,13 @@ def closest_point_triangle(p, tri):
         return c, ("vertex", 2)
 
     vb = d5 * d2 - d1 * d6
-    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0 and d2 - d6 != 0.0:
         t = d2 / (d2 - d6)
         return vadd(a, vscale(ac, t)), ("edge", 2)
 
     va = d3 * d6 - d5 * d4
-    if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+    if (va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0
+            and (d4 - d3) + (d5 - d6) != 0.0):
         t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
         return vadd(b, vscale(vsub(c, b), t)), ("edge", 1)
 

@@ -66,6 +66,17 @@ def grid_triangulation(rows, cols):
     return ParamTriangulation.create(verts, tris)
 
 
+def bumped_grid_surface(rows, cols, bump, shift):
+    """The grid over the square lifted by a sine bump and shifted, as in the
+    complexity criterion."""
+    param = grid_triangulation(rows, cols)
+    imgs = []
+    for (x, y) in param.vertices:
+        z = bump * math.sin(math.pi * x) * math.sin(math.pi * y)
+        imgs.append((x + shift[0], y + shift[1], z + shift[2]))
+    return Surface.create(param, imgs)
+
+
 def random_triangulation(rng, n_interior):
     """Delaunay triangulation of the unit square corners plus interior points."""
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -1,6 +1,7 @@
 import numpy as np
 
 from frechet_surfaces import build_graph, component_extensive, triangle_covered
+from frechet_surfaces.coverage import CoverageRecord
 from frechet_surfaces.geometry import dist_triangle_triangle
 from .conftest import flat_surface, random_surface_pair, translate_surface
 from .oracles import mc_triangle_covered
@@ -126,6 +127,44 @@ def test_component_extensive_vs_projection_oracle(rng):
         assert mine == ok
         done += 1
     assert done >= 10
+
+
+def test_record_implies_covered_for_larger_eps_and_partner_supersets():
+    rec = CoverageRecord()
+    rec.add((0, 3), 0.5, frozenset({1, 2}), True)
+    assert rec.implied((0, 3), 0.5, frozenset({1, 2})) is True
+    assert rec.implied((0, 3), 0.7, frozenset({1, 2})) is True
+    assert rec.implied((0, 3), 0.5, frozenset({1, 2, 4})) is True
+    # a smaller eps, a partner set that is not a superset, another key
+    assert rec.implied((0, 3), 0.4, frozenset({1, 2})) is None
+    assert rec.implied((0, 3), 0.7, frozenset({1, 4})) is None
+    assert rec.implied((0, 3), 0.7, frozenset({1})) is None
+    assert rec.implied((1, 3), 0.7, frozenset({1, 2})) is None
+    assert rec.implied((0, 2), 0.7, frozenset({1, 2})) is None
+
+
+def test_record_implies_uncovered_for_smaller_eps_and_partner_subsets():
+    rec = CoverageRecord()
+    rec.add((1, 0), 0.5, frozenset({1, 2}), False)
+    assert rec.implied((1, 0), 0.5, frozenset({1, 2})) is False
+    assert rec.implied((1, 0), 0.3, frozenset({1, 2})) is False
+    assert rec.implied((1, 0), 0.5, frozenset({2})) is False
+    # a larger eps, a partner set that is not a subset, another key
+    assert rec.implied((1, 0), 0.6, frozenset({2})) is None
+    assert rec.implied((1, 0), 0.3, frozenset({1, 3})) is None
+    assert rec.implied((1, 0), 0.3, frozenset({1, 2, 3})) is None
+    assert rec.implied((0, 0), 0.3, frozenset({2})) is None
+
+
+def test_record_keeps_every_entry():
+    rec = CoverageRecord()
+    rec.add((0, 0), 0.5, frozenset({1}), False)
+    rec.add((0, 0), 0.9, frozenset({1, 2}), True)
+    rec.add((0, 0), 0.7, frozenset({2, 3}), False)
+    assert rec.implied((0, 0), 0.4, frozenset({1})) is False
+    assert rec.implied((0, 0), 1.0, frozenset({1, 2, 3})) is True
+    assert rec.implied((0, 0), 0.6, frozenset({3})) is False
+    assert rec.implied((0, 0), 0.8, frozenset({1, 2})) is None
 
 
 def test_svg_dump(tmp_path, rng):

@@ -6,10 +6,11 @@ import pytest
 from frechet_surfaces import (ValidationError, compute, decide,
                               critical_values_2c, critical_values_C1,
                               hausdorff_sampled)
-from frechet_surfaces import freespace
+from frechet_surfaces import coverage, freespace
 from frechet_surfaces.decision import MODE_BISECT, MODE_EXACT
-from .conftest import (flat_surface, random_surface, random_surface_pair,
-                       translate_surface, two_triangle_square)
+from .conftest import (bumped_grid_surface, flat_surface, random_surface,
+                       random_surface_pair, translate_surface,
+                       two_triangle_square)
 from .oracles import rasterized_decide, rasterized_margin
 
 
@@ -226,6 +227,23 @@ def test_compute_probes_match_one_shot_decides(rng):
         res = compute(f, g, mode=mode)
         for eps, ok in res.probes:
             assert decide(f, g, eps)[0] == ok, (mode, eps)
+
+
+def test_compute_reuses_coverage_verdicts_within_one_call(monkeypatch):
+    # the criterion-11 grid pair at T = 8
+    f = bumped_grid_surface(2, 2, 0.25, (0.0, 0.0, 0.0))
+    g = bumped_grid_surface(2, 2, 0.20, (0.05, -0.04, 0.3))
+    calls = _count_calls(monkeypatch, coverage, "triangle_covered")
+    res = compute(f, g, mode=MODE_BISECT)
+    in_compute = len(calls)
+    calls.clear()
+    for eps, ok in res.probes:
+        assert decide(f, g, eps)[0] == ok, eps
+    assert in_compute < len(calls)
+    # no verdict outlives a call
+    calls.clear()
+    compute(f, g, mode=MODE_BISECT)
+    assert len(calls) == in_compute
 
 
 def test_decide_below_cell_distances_computes_no_boundary_distance(monkeypatch):

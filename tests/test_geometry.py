@@ -210,6 +210,25 @@ def test_batch_best_edge_fallback_equals_scalar(rng):
                 assert _lane(got, i) == best[1], (p, tri)
 
 
+def test_point_triangle_with_coincident_vertices():
+    # an edge branch of closest_point_triangle whose denominator is 0.0 is
+    # skipped, so a later branch or the best-edge fallback answers
+    tri = ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0))
+    assert dist_point_triangle((0.5, 1.0), tri, degenerate_ok=True) == 1.0
+    for d in (2, 3):
+        pts = _grid(d, range(-2, 5))
+        lanes = _lanes(pts)
+        a, b = _floats((1,) * d), _floats((3, -1, 2)[:d])
+        for tri, end in (((a, a, b), b), ((a, b, a), b), ((b, a, a), b),
+                         ((a, a, a), a)):
+            dist = batch_dist_point_triangle(lanes, tri)
+            for i, p in enumerate(pts):
+                want = dist_point_triangle(p, tri, degenerate_ok=True)
+                q, _ = closest_point_segment(p, a, end)
+                assert abs(want - vdist(p, q)) <= 1e-12, (p, tri)
+                assert dist[i] == want, (p, tri)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_batch_segment_segment_equals_scalar(rng, d):
     # every pair of segments over a small integer grid: parallel, collinear

@@ -1,12 +1,14 @@
 """Exact invariants of the weak Fréchet distance, checked on seeded random
 pairs: it is symmetric in its two surfaces, unchanged by a rigid motion of
 both images, scales linearly with both images (exact mode), and unchanged by
-a barycentric subdivision, which reparameterises a surface without moving any
-image point (bisect mode)."""
+a barycentric subdivision or a symmetry of the parameter square, each of
+which reparameterises a surface without moving any image point (bisect
+mode)."""
 
 import numpy as np
 
-from frechet_surfaces import DEFAULT_TOL, Surface, barycentric_subdivide, compute
+from frechet_surfaces import (DEFAULT_TOL, ParamTriangulation, Surface,
+                              barycentric_subdivide, compute)
 from frechet_surfaces.decision import MODE_BISECT
 from .conftest import random_surface_pair
 
@@ -59,3 +61,28 @@ def test_barycentric_subdivision_leaves_distance_unchanged(rng):
         d = compute(f, g, mode=MODE_BISECT).distance
         d_sub = compute(barycentric_subdivide(f), g, mode=MODE_BISECT).distance
         assert _close(d, d_sub), (d, d_sub)
+
+
+def _square_symmetry(s, index):
+    """s reparameterised by symmetry `index` of the 8 of [0, 1]^2: bit 0
+    swaps the axes, bits 1 and 2 reflect x and y.  The images stay, and a
+    reflection reverses each triangle so that it stays counterclockwise."""
+    swap, flip_x, flip_y = index & 1, index >> 1 & 1, index >> 2 & 1
+
+    def move(v):
+        x, y = (v[1], v[0]) if swap else v
+        return (1.0 - x if flip_x else x, 1.0 - y if flip_y else y)
+    tris = s.param.triangles
+    if swap ^ flip_x ^ flip_y:
+        tris = [(i, k, j) for i, j, k in tris]
+    param = ParamTriangulation.create([move(v) for v in s.param.vertices], tris)
+    return Surface.create(param, s.image)
+
+
+def test_square_symmetry_leaves_distance_unchanged(rng):
+    pairs = _pairs(rng)[:3]
+    # three distinct symmetries other than the identity
+    for (f, g), index in zip(pairs, rng.choice(range(1, 8), size=3, replace=False)):
+        d = compute(f, g, mode=MODE_BISECT).distance
+        d_sym = compute(_square_symmetry(f, int(index)), g, mode=MODE_BISECT).distance
+        assert _close(d, d_sym), (index, d, d_sym)

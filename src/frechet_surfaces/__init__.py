@@ -5,6 +5,7 @@ Core entry points:
     critical_values_C1 / _2c    candidate critical values
     build_graph / PairGeometry  free-space cell graph, eps-independent distances
     curve_decide_* / curve_compute   polygonal-curve analogues
+    CurvePairGeometry           a curve pair's eps-independent tables
     semi_compute_stream         decreasing Fréchet upper bounds
 """
 
@@ -22,8 +23,8 @@ from .coverage import component_extensive, triangle_covered
 from .criticals import CriticalValue, critical_values_C1, critical_values_2c
 from .decision import (WeakFrechetResult, compute, decide, hausdorff_sampled,
                        MODE_BISECT, MODE_EXACT)
-from .curves import (PolyCurve, curve_compute, curve_decide_frechet,
-                     curve_decide_weak, discrete_frechet)
+from .curves import (CurvePairGeometry, PolyCurve, curve_compute,
+                     curve_decide_frechet, curve_decide_weak, discrete_frechet)
 from .semifrechet import (Budget, MeshHomeoCandidate, Topology,
                           enumerate_candidates, evaluate_delta, face_regions,
                           is_valid_mesh_homeo, semi_compute_stream)
@@ -45,8 +46,8 @@ __all__ = [
     "CriticalValue", "critical_values_C1", "critical_values_2c",
     "WeakFrechetResult", "compute", "decide", "hausdorff_sampled",
     "MODE_BISECT", "MODE_EXACT",
-    "PolyCurve", "curve_compute", "curve_decide_frechet", "curve_decide_weak",
-    "discrete_frechet",
+    "CurvePairGeometry", "PolyCurve", "curve_compute", "curve_decide_frechet",
+    "curve_decide_weak", "discrete_frechet",
     "Budget", "MeshHomeoCandidate", "Topology", "enumerate_candidates",
     "evaluate_delta", "face_regions", "is_valid_mesh_homeo",
     "semi_compute_stream",

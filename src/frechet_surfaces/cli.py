@@ -102,6 +102,16 @@ def _load_two_surfaces(args, tol):
     return f, g
 
 
+def _load_two_curves(args):
+    f = load_curve(args.fileA)
+    g = load_curve(args.fileB)
+    try:
+        curves.require_same_dimension(f, g)
+    except ValueError as exc:
+        raise FormatError(f"{args.fileA}, {args.fileB}: {exc}") from exc
+    return f, g
+
+
 def run(argv=None):
     args = build_parser().parse_args(argv)
     tol = parse_tolerance(args.tolerance) if args.tolerance else DEFAULT_TOL
@@ -173,8 +183,7 @@ def run(argv=None):
 
     if args.command == "curve":
         print(cfg.header_json())
-        f = load_curve(args.fileA)
-        g = load_curve(args.fileB)
+        f, g = _load_two_curves(args)
         if args.action == "decide":
             if args.eps is None:
                 raise FormatError("curve decide needs --eps")
@@ -191,8 +200,7 @@ def run(argv=None):
         cfg.svg = args.svg
         print(cfg.header_json())
         if args.what == "curve-freespace":
-            f = load_curve(args.fileA)
-            g = load_curve(args.fileB)
+            f, g = _load_two_curves(args)
             curves.curve_freespace_svg(f, g, args.eps, args.svg, tol=tol)
         else:
             f, g = _load_two_surfaces(args, tol)

@@ -8,10 +8,13 @@ independently verifiable regression anchor for the surface pipeline.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
+import numpy as np
+
+from .batched import batch_closest_segment_segment
 from .scalar import DEFAULT_TOL
-from .geometry import (closest_point_segment, closest_segment_segment, vdist,
-                       vdot, vlerp, vsub)
+from .geometry import closest_point_segment, vdist, vdot, vlerp, vsub
 from .freespace import UnionFind
 
 
@@ -51,31 +54,51 @@ class PolyCurve:
         return PolyCurve(tuple(out))
 
 
-def point_segment_free_interval(p, seg, eps):
-    """{t in [0,1] : |p - seg(t)| <= eps} as (lo, hi) or None."""
+def require_same_dimension(f, g):
+    """Raise ValueError unless the two curves lie in the same dimension."""
+    if len(f.vertices[0]) != len(g.vertices[0]):
+        raise ValueError(f"curves of different dimension: {len(f.vertices[0])}-D "
+                         f"and {len(g.vertices[0])}-D")
+
+
+def _point_segment_coefficients(p, seg):
+    """(A, B, W) with |p - seg(t)|^2 = A t^2 + B t + W."""
     a, b = seg
     d = vsub(b, a)
     w = vsub(a, p)
-    A = vdot(d, d)
-    B = 2.0 * vdot(w, d)
-    C = vdot(w, w) - eps * eps
-    if A == 0.0:
-        return (0.0, 1.0) if C <= 0.0 else None
+    return vdot(d, d), 2.0 * vdot(w, d), vdot(w, w)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _free_intervals(A, B, W, eps):
+    """point_segment_free_interval elementwise over arrays of coefficients,
+    as (lo, hi, free); lo and hi are meaningless where free is False.  Each
+    operation is the one plain float arithmetic does, in the same order, and
+    max(lo, 0.0) and min(hi, 1.0) keep their first argument unless the second
+    is strictly beyond it, so every interval equals the plain-float one bit
+    for bit."""
+    C = W - eps * eps
     disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
+    sq = np.sqrt(disc)
     lo = (-B - sq) / (2.0 * A)
     hi = (-B + sq) / (2.0 * A)
-    lo = max(lo, 0.0)
-    hi = min(hi, 1.0)
-    if lo > hi:
-        return None
-    return (lo, hi)
+    lo = np.where(0.0 > lo, 0.0, lo)
+    hi = np.where(1.0 < hi, 1.0, hi)
+    point = A == 0.0
+    free = np.where(point, C <= 0.0, ~(disc < 0.0) & ~(lo > hi))
+    return np.where(point, 0.0, lo), np.where(point, 1.0, hi), free
 
 
-def segment_segment_projection_interval(seg_f, seg_g, eps, tol=DEFAULT_TOL):
-    """{s in [0,1] : dist(seg_f(s), seg_g) <= eps}, one interval by convexity."""
+def point_segment_free_interval(p, seg, eps):
+    """{t in [0,1] : |p - seg(t)| <= eps} as (lo, hi) or None."""
+    coefficients = (np.float64(c) for c in _point_segment_coefficients(p, seg))
+    lo, hi, free = _free_intervals(*coefficients, eps)
+    return (float(lo), float(hi)) if free else None
+
+
+def _projection_pieces(seg_f, seg_g):
+    """The pieces of [0,1] on which dist(seg_f(s), seg_g)^2 is one quadratic
+    A s^2 + B s + C0, as (sa, sb, A, B, C0) in order of s."""
     a, b = seg_f
     # distance to a segment is piecewise: near endpoint / interior projection.
     # Breakpoints where the nearest feature switches are linear in s.
@@ -93,6 +116,7 @@ def segment_segment_projection_interval(seg_f, seg_g, eps, tol=DEFAULT_TOL):
                 if 0.0 < t < 1.0:
                     ts.append(t)
     ts = sorted(set(ts))
+    dv = vsub(b, a)
     pieces = []
     for sa, sb in zip(ts, ts[1:]):
         if sb - sa <= 1e-15:
@@ -104,24 +128,31 @@ def segment_segment_projection_interval(seg_f, seg_g, eps, tol=DEFAULT_TOL):
             # nearest feature is an endpoint of seg_g on this piece
             q = c if (uu == 0.0 or tq <= 0.0) else d
             w = vsub(a, q)
-            dv = vsub(b, a)
             A = vdot(dv, dv)
             B = 2.0 * vdot(w, dv)
-            C = vdot(w, w) - eps * eps
+            C0 = vdot(w, w)
         else:
             # interior projection: squared distance is the perp component
-            dv = vsub(b, a)
             w = vsub(a, c)
             un = tuple(x / math.sqrt(uu) for x in u)
             dvu = vdot(dv, un)
             wu = vdot(w, un)
             A = vdot(dv, dv) - dvu * dvu
             B = 2.0 * (vdot(w, dv) - wu * dvu)
-            C = vdot(w, w) - wu * wu - eps * eps
+            C0 = vdot(w, w) - wu * wu
+        pieces.append((sa, sb, A, B, C0))
+    return pieces
+
+
+def _projection_interval(pieces, eps):
+    """The hull of the pieces' parts within eps, as (lo, hi) or None."""
+    parts = []
+    for sa, sb, A, B, C0 in pieces:
+        C = C0 - eps * eps
         if A <= 1e-15:
             if B == 0.0:
                 if C <= 0.0:
-                    pieces.append((sa, sb))
+                    parts.append((sa, sb))
                 continue
             r = -C / B
             if B > 0:
@@ -138,59 +169,117 @@ def segment_segment_projection_interval(seg_f, seg_g, eps, tol=DEFAULT_TOL):
         lo = max(lo, sa)
         hi = min(hi, sb)
         if lo <= hi:
-            pieces.append((lo, hi))
-    if not pieces:
+            parts.append((lo, hi))
+    if not parts:
         return None
-    return (min(p[0] for p in pieces), max(p[1] for p in pieces))
+    return (min(p[0] for p in parts), max(p[1] for p in parts))
 
 
-class CurveFreeSpace:
-    """Free-space diagram of two polygonal curves at a fixed eps.
+def segment_segment_projection_interval(seg_f, seg_g, eps, tol=DEFAULT_TOL):
+    """{s in [0,1] : dist(seg_f(s), seg_g) <= eps}, one interval by convexity."""
+    return _projection_interval(_projection_pieces(seg_f, seg_g), eps)
 
-    L[i][j] is the free interval on the left boundary of cell (i, j) (the
-    segment {f-vertex i} x {g-segment j}); B[i][j] the bottom boundary
-    ({f-segment i} x {g-vertex j}).  Indices run to n and m inclusive so the
-    right/top boundaries are L[n][.] and B[.][m].
+
+class CurvePairGeometry:
+    """The eps-independent geometry of a curve pair's free-space diagram.
+
+    With n segments on f and m on g, five tables, each filled whole the first
+    time it is read:
+
+        segment_dist[i, j]   f-segment i to g-segment j (cell (i, j) is
+                             nonempty at eps iff this is <= eps)
+        left                 arrays (A, B, W) of shape (n + 1, m): f-vertex i
+                             against g-segment j, the left boundary of cell
+                             (i, j); row n is the right edge of the diagram
+        bottom               arrays (A, B, W) of shape (n, m + 1): g-vertex j
+                             against f-segment i, the bottom boundary of cell
+                             (i, j); column m is the top edge
+        f_pieces[i][j]       the projection pieces of f-segment i onto
+                             g-segment j
+        g_pieces[j][i]       those of g-segment j onto f-segment i
+
+    Every free interval at eps is the scalar routine's bit for bit:
+    point_segment_free_interval and segment_segment_projection_interval
+    evaluate the same coefficients by the same helpers.  One geometry serves
+    every eps of one curve_compute.
     """
 
-    def __init__(self, f, g, eps, tol=DEFAULT_TOL):
-        self.f = f
-        self.g = g
-        self.eps = eps
-        self.tol = tol
-        n = f.n_segments
-        m = g.n_segments
-        self.n = n
-        self.m = m
-        self.L = [[None] * m for _ in range(n + 1)]
-        self.B = [[None] * (m + 1) for _ in range(n)]
-        for i in range(n + 1):
-            p = f.vertices[i]
-            for j in range(m):
-                self.L[i][j] = point_segment_free_interval(p, g.segment(j), eps)
-        for i in range(n):
-            seg = f.segment(i)
-            for j in range(m + 1):
-                self.B[i][j] = point_segment_free_interval(g.vertices[j], seg, eps)
+    def __init__(self, f, g, tol=DEFAULT_TOL):
+        require_same_dimension(f, g)
+        self.f, self.g, self.tol = f, g, tol
+        self.n = f.n_segments
+        self.m = g.n_segments
 
-    def cell_nonempty(self, i, j):
-        d, _, _ = closest_segment_segment(*self.f.segment(i), *self.g.segment(j))
-        return d <= self.eps
+    @classmethod
+    def of(cls, f, g, tol, geometry=None):
+        """`geometry` after checking that it was built for (f, g, tol), or a
+        new geometry of the pair when it is None."""
+        if geometry is None:
+            return cls(f, g, tol)
+        if geometry.f is not f or geometry.g is not g or geometry.tol != tol:
+            raise ValueError("geometry was built for another curve pair or tolerance")
+        return geometry
+
+    @cached_property
+    def segment_dist(self):
+        # coordinate-major vertex arrays: f's along rows, g's along columns
+        f = np.asarray(self.f.vertices, dtype=float).T[:, :, None]
+        g = np.asarray(self.g.vertices, dtype=float).T[:, None, :]
+        return batch_closest_segment_segment(tuple(f[:, :-1]), tuple(f[:, 1:]),
+                                             tuple(g[..., :-1]), tuple(g[..., 1:]))
+
+    @cached_property
+    def left(self):
+        return _coefficient_table(
+            [[_point_segment_coefficients(p, self.g.segment(j)) for j in range(self.m)]
+             for p in self.f.vertices])
+
+    @cached_property
+    def bottom(self):
+        return _coefficient_table(
+            [[_point_segment_coefficients(q, self.f.segment(i)) for q in self.g.vertices]
+             for i in range(self.n)])
+
+    @cached_property
+    def f_pieces(self):
+        return [[_projection_pieces(self.f.segment(i), self.g.segment(j))
+                 for j in range(self.m)] for i in range(self.n)]
+
+    @cached_property
+    def g_pieces(self):
+        return [[_projection_pieces(self.g.segment(j), self.f.segment(i))
+                 for i in range(self.n)] for j in range(self.m)]
 
 
-def curve_decide_frechet(f, g, eps, tol=DEFAULT_TOL):
-    """True iff a monotone path crosses the free space corner to corner."""
+def _coefficient_table(rows):
+    """Rows of (A, B, W) triples as the triple of arrays (A, B, W)."""
+    table = np.asarray(rows, dtype=float)
+    return table[..., 0], table[..., 1], table[..., 2]
+
+
+def _interval_rows(lo, hi, free):
+    """Arrays from _free_intervals as rows of (lo, hi) or None."""
+    return [[(a, b) if ok else None for a, b, ok in zip(*row)]
+            for row in zip(lo.tolist(), hi.tolist(), free.tolist())]
+
+
+def curve_decide_frechet(f, g, eps, tol=DEFAULT_TOL, *, geometry=None):
+    """True iff a monotone path crosses the free space corner to corner.
+    `geometry` is the pair's CurvePairGeometry, shared across calls at
+    different eps; a fresh one is built when it is omitted."""
+    geometry = CurvePairGeometry.of(f, g, tol, geometry)
     if vdist(f.vertices[0], g.vertices[0]) > eps or \
        vdist(f.vertices[-1], g.vertices[-1]) > eps:
         return False
-    fs = CurveFreeSpace(f, g, eps, tol)
-    n, m = fs.n, fs.m
+    n, m = geometry.n, geometry.m
+    L = _interval_rows(*_free_intervals(*geometry.left, eps))
+    B = _interval_rows(*_free_intervals(*geometry.bottom, eps))
     # reachable sub-intervals of the left/bottom boundaries
     RL = [[None] * m for _ in range(n + 1)]
     RB = [[None] * (m + 1) for _ in range(n)]
     # left edge of the diagram: climbable only while contiguous from (0,0)
     for j in range(m):
-        iv = fs.L[0][j]
+        iv = L[0][j]
         if iv is None:
             break
         if j == 0:
@@ -201,7 +290,7 @@ def curve_decide_frechet(f, g, eps, tol=DEFAULT_TOL):
         if RL[0][j] is None:
             break
     for i in range(n):
-        iv = fs.B[i][0]
+        iv = B[i][0]
         if iv is None:
             break
         if i == 0:
@@ -217,7 +306,7 @@ def curve_decide_frechet(f, g, eps, tol=DEFAULT_TOL):
             left = RL[i][j]
             bottom = RB[i][j]
             # right boundary: L[i+1][j]
-            free_r = fs.L[i + 1][j]
+            free_r = L[i + 1][j]
             if free_r is not None:
                 if bottom is not None:
                     RL[i + 1][j] = free_r
@@ -225,7 +314,7 @@ def curve_decide_frechet(f, g, eps, tol=DEFAULT_TOL):
                     lo = max(free_r[0], left[0])
                     RL[i + 1][j] = (lo, free_r[1]) if lo <= free_r[1] else None
             # top boundary: B[i][j+1]
-            free_t = fs.B[i][j + 1]
+            free_t = B[i][j + 1]
             if free_t is not None:
                 if left is not None:
                     RB[i][j + 1] = free_t
@@ -238,29 +327,30 @@ def curve_decide_frechet(f, g, eps, tol=DEFAULT_TOL):
     return (top is not None and top[1] >= 1.0) or (right is not None and right[1] >= 1.0)
 
 
-def curve_decide_weak(f, g, eps, tol=DEFAULT_TOL):
-    """True iff some connected free-space component projects onto both curves."""
-    fs = CurveFreeSpace(f, g, eps, tol)
-    n, m = fs.n, fs.m
-    cells = []
-    for i in range(n):
-        for j in range(m):
-            if fs.cell_nonempty(i, j):
-                cells.append((i, j))
+def curve_decide_weak(f, g, eps, tol=DEFAULT_TOL, *, geometry=None):
+    """True iff some connected free-space component projects onto both curves.
+    `geometry` is as for curve_decide_frechet."""
+    geometry = CurvePairGeometry.of(f, g, tol, geometry)
+    m = geometry.m
+    # cell (i, j) is the integer i * m + j
+    cells = np.flatnonzero(geometry.segment_dist <= eps).tolist()
+    left_free = _free_intervals(*geometry.left, eps)[2].tolist()
+    bottom_free = _free_intervals(*geometry.bottom, eps)[2].tolist()
     cellset = set(cells)
     uf = UnionFind(cells)
-    for (i, j) in cells:
-        if (i + 1, j) in cellset and fs.L[i + 1][j] is not None:
-            uf.union((i, j), (i + 1, j))
-        if (i, j + 1) in cellset and fs.B[i][j + 1] is not None:
-            uf.union((i, j), (i, j + 1))
+    for c in cells:
+        i, j = divmod(c, m)
+        if c + m in cellset and left_free[i + 1][j]:
+            uf.union(c, c + m)
+        if j + 1 < m and c + 1 in cellset and bottom_free[i][j + 1]:
+            uf.union(c, c + 1)
 
     comps = {}
     for c in cells:
-        comps.setdefault(uf.find(c), []).append(c)
+        comps.setdefault(uf.find(c), []).append(divmod(c, m))
 
     for comp in comps.values():
-        if _curve_component_extensive(comp, f, g, eps, n, m, tol):
+        if _curve_component_extensive(comp, geometry, eps):
             return True
     return False
 
@@ -279,23 +369,21 @@ def _merge_cover(intervals):
     return reach >= 1.0 - slack
 
 
-def _curve_component_extensive(comp, f, g, eps, n, m, tol):
+def _curve_component_extensive(comp, geometry, eps):
     by_row = {}
     by_col = {}
     for (i, j) in comp:
         by_row.setdefault(i, []).append(j)
         by_col.setdefault(j, []).append(i)
-    if len(by_row) < n or len(by_col) < m:
+    if len(by_row) < geometry.n or len(by_col) < geometry.m:
         return False
     for i, js in by_row.items():
-        ivs = [segment_segment_projection_interval(f.segment(i), g.segment(j), eps, tol)
-               for j in js]
-        if not _merge_cover(ivs):
+        pieces = geometry.f_pieces[i]
+        if not _merge_cover([_projection_interval(pieces[j], eps) for j in js]):
             return False
     for j, is_ in by_col.items():
-        ivs = [segment_segment_projection_interval(g.segment(j), f.segment(i), eps, tol)
-               for i in is_]
-        if not _merge_cover(ivs):
+        pieces = geometry.g_pieces[j]
+        if not _merge_cover([_projection_interval(pieces[i], eps) for i in is_]):
             return False
     return True
 
@@ -305,24 +393,26 @@ VARIANT_WEAK = "weak"
 
 
 def curve_compute(f, g, variant=VARIANT_FRECHET, tol=DEFAULT_TOL):
-    """Min eps with the chosen decision true, located by bisection."""
+    """Min eps with the chosen decision true, located by bisection; one
+    CurvePairGeometry serves every probe."""
     if variant == VARIANT_FRECHET:
         dec = curve_decide_frechet
     elif variant == VARIANT_WEAK:
         dec = curve_decide_weak
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if dec(f, g, 0.0, tol):
+    geometry = CurvePairGeometry(f, g, tol)
+    if dec(f, g, 0.0, tol, geometry=geometry):
         return 0.0
     hi = max(vdist(p, q) for p in f.vertices for q in g.vertices) + tol.abs
-    if not dec(f, g, hi, tol):
+    if not dec(f, g, hi, tol, geometry=geometry):
         raise ArithmeticError("curve decision failed at the diameter bound")
     lo = 0.0
     while hi - lo > max(tol.abs, tol.rel * max(hi, 1.0)):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if dec(f, g, mid, tol):
+        if dec(f, g, mid, tol, geometry=geometry):
             hi = mid
         else:
             lo = mid
@@ -331,6 +421,7 @@ def curve_compute(f, g, variant=VARIANT_FRECHET, tol=DEFAULT_TOL):
 
 def discrete_frechet(f, g):
     """Discrete Fréchet distance of the vertex sequences (O(nm) DP)."""
+    require_same_dimension(f, g)
     P = f.vertices
     Q = g.vertices
     n, m = len(P), len(Q)
@@ -355,6 +446,7 @@ def discrete_frechet(f, g):
 def curve_freespace_svg(f, g, eps, path, shade_res=14, tol=DEFAULT_TOL):
     """Shade the free-space diagram of two curves: one n x m grid of cells,
     sub-sampled shade_res^2 per cell, free samples drawn white on grey."""
+    require_same_dimension(f, g)
     n = f.n_segments
     m = g.n_segments
     cell = 64

@@ -343,9 +343,11 @@ def _face_regions_impl(cand, topo_k, topo_l):
 
     n_tris = len(topo_l.triangles)
     uf = UnionFind(range(n_tris))
-    for (e, ts) in topo_l.param.edge_map().items():
-        if len(ts) == 2 and e not in blocked:
-            uf.union(ts[0], ts[1])
+    # an interior edge (a, b) of a CCW triangulation has one triangle on each
+    # side: left_tri[(a, b)] and left_tri[(b, a)]
+    for (a, b) in topo_l.edges:
+        if (a, b) not in topo_l.boundary_edges and (a, b) not in blocked:
+            uf.union(topo_l.left_tri[(a, b)], topo_l.left_tri[(b, a)])
 
     regions = {}
     used_roots = {}

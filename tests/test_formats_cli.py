@@ -237,6 +237,22 @@ def test_curve_commands(tmp_path, capsys):
     assert code == 0
 
 
+def test_curve_commands_reject_mixed_dimension(tmp_path, capsys):
+    pa = write_curve(tmp_path / "c2.json", [[0, 0], [1, 0]])
+    pb = write_curve(tmp_path / "c3.json", [[0, 0, 5], [1, 0, 5]], dim=3)
+    out_svg = tmp_path / "fs.svg"
+    for args in (["curve", "compute", pa, pb],
+                 ["curve", "compute", pb, pa, "--variant", "weak"],
+                 ["curve", "decide", pa, pb, "--eps", "0.1"],
+                 ["dump-svg", "curve-freespace", pa, pb, "--eps", "0.1",
+                  "--svg", str(out_svg)]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert err.startswith("error:") and "dimension" in err, err
+        assert "distance" not in out and "true" not in out
+    assert not out_svg.exists()
+
+
 def test_dump_svg_curve(tmp_path, capsys):
     import xml.etree.ElementTree as ET
     pa = write_curve(tmp_path / "c1.json", [[0, 0], [1, 0], [2, 1]])

@@ -310,6 +310,22 @@ def _feature_sqdist_conic(frame, tri, feature):
             2.0 * alpha * gamma, 2.0 * beta * gamma, gamma * gamma)
 
 
+def _is_nearest_feature(p, xy, tri, feature, conic, dist, slack):
+    """Whether `feature` of `tri` is nearest to p (plane coordinates xy),
+    whose triangle distance is `dist`: the distance to the feature's affine
+    hull (the square root of its conic) equals `dist`, and for an edge so
+    does the distance to the segment itself, so the hull's nearest point lies
+    on the edge.  A vertex is its own hull, and a face whose plane is as far
+    as the triangle has its nearest plane point inside the triangle."""
+    if abs(math.sqrt(max(0.0, _conic_value(conic, *xy))) - dist) > slack:
+        return False
+    kind, idx = feature
+    if kind != "edge":
+        return True
+    q = closest_point_segment(p, tri[idx], tri[(idx + 1) % 3])[0]
+    return abs(vdist(p, q) - dist) <= slack
+
+
 def _feature_bbox(frame, tri, feature, pad):
     kind, idx = feature
     if kind == "vertex":
@@ -554,6 +570,7 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
                     & (np.abs(C2).max(axis=1) > 1e-12))
         if not keep.any():
             continue
+        kept = np.flatnonzero(keep)
         C1 = C1[keep]
         C2 = C2[keep]
         xlo = blo_x[keep] - slack
@@ -592,7 +609,17 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
                 dk = dist_point_triangle(p3, tri_k, tol, degenerate_ok=True)
                 dmax = max(di, dj, dk)
                 dmin = min(di, dj, dk)
-                if dmax - dmin > 1e3 * tol.gap(dmax):
+                slack_d = 1e3 * tol.gap(dmax)
+                if dmax - dmin > slack_d:
+                    continue
+                # where the three triangles share a nearest feature, a root
+                # of an unrelated row is equidistant too
+                src = kept[row]
+                feats = ((tri_i, ia, fi_g[src], di), (tri_j, ib, fj_g[src], dj),
+                         (tri_k, ic, fk_g[src], dk))
+                if not all(_is_nearest_feature(p3, (x, y), tri, _FEATURES[fa],
+                                               conic_arr[a, fa], d, slack_d)
+                           for tri, a, fa, d in feats):
                     continue
                 val = (di + dj + dk) / 3.0
                 if lo - tol.gap(val) <= val <= hi + tol.gap(val):

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .batched import batch_closest_segment_segment
-from .scalar import DEFAULT_TOL
+from .scalar import DEFAULT_TOL, bisect_threshold
 from .geometry import closest_point_segment, vdist, vdot, vlerp, vsub
 from .freespace import UnionFind
 
@@ -407,16 +407,8 @@ def curve_compute(f, g, variant=VARIANT_FRECHET, tol=DEFAULT_TOL):
     hi = max(vdist(p, q) for p in f.vertices for q in g.vertices) + tol.abs
     if not dec(f, g, hi, tol, geometry=geometry):
         raise ArithmeticError("curve decision failed at the diameter bound")
-    lo = 0.0
-    while hi - lo > max(tol.abs, tol.rel * max(hi, 1.0)):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if dec(f, g, mid, tol, geometry=geometry):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect_threshold(lambda eps: dec(f, g, eps, tol, geometry=geometry),
+                            0.0, hi, tol)
 
 
 def discrete_frechet(f, g):

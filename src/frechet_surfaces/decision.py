@@ -9,7 +9,7 @@ candidates ("exact" mode) or by plain bisection ("bisect" mode).
 
 from dataclasses import dataclass, field
 
-from .scalar import DEFAULT_TOL
+from .scalar import DEFAULT_TOL, bisect_threshold
 from .coverage import CoverageRecord, component_extensive
 from .criticals import critical_values_C1, critical_values_2c
 from .freespace import PairGeometry, build_graph
@@ -140,17 +140,8 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     else:
         # the candidate search probed with slack, so the flip may sit just
         # above bracket_hi; widen by the slack and bisect with exact probes
-        lo = bracket_lo
-        hi = bracket_hi + 10.0 * tol.gap(bracket_hi)
-        while hi - lo > max(tol.abs, tol.rel * max(hi, 1.0)):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if probe(mid):
-                hi = mid
-            else:
-                lo = mid
-        distance = hi
+        distance = bisect_threshold(probe, bracket_lo,
+                                    bracket_hi + 10.0 * tol.gap(bracket_hi), tol)
 
     witness_eps = distance + 10.0 * tol.gap(distance) if mode == MODE_EXACT \
         else distance

@@ -417,10 +417,6 @@ def frame_of_triangle(tri, tol=DEFAULT_TOL):
     return Plane2Frame(tri[0], b1, b2, tol)
 
 
-def identity_frame_2d():
-    return Plane2Frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Conic arcs in a plane frame
 # ---------------------------------------------------------------------------

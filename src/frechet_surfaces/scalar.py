@@ -39,18 +39,6 @@ class Tolerance:
     def eq(self, a, b):
         return abs(a - b) <= max(self.abs, self.rel * max(abs(a), abs(b)))
 
-    def lt(self, a, b):
-        return a < b and not self.eq(a, b)
-
-    def gt(self, a, b):
-        return a > b and not self.eq(a, b)
-
-    def le(self, a, b):
-        return a < b or self.eq(a, b)
-
-    def ge(self, a, b):
-        return a > b or self.eq(a, b)
-
     def zero(self, a, scale=1.0):
         return abs(a) <= max(self.abs, self.rel * abs(scale))
 
@@ -69,6 +57,21 @@ def cmp(a, b, tol=DEFAULT_TOL):
     if tol.eq(a, b):
         return Ordering.EQUAL
     return Ordering.LESS if a < b else Ordering.GREATER
+
+
+def bisect_threshold(pred, lo, hi, tol=DEFAULT_TOL):
+    """Bisect [lo, hi] for the flip of a monotone predicate that is true at hi,
+    until the bracket is no wider than the tolerance at its scale; returns the
+    final hi.  Serves compute's bisect mode and curve_compute."""
+    while hi - lo > max(tol.abs, tol.rel * max(hi, 1.0)):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ class Topology:
     """Edge/boundary/orientation structure of a parameter triangulation."""
 
     def __init__(self, param):
-        self.param = param
         self.vertices = param.vertices
         self.triangles = param.triangles
         em = param.edge_map()
@@ -138,7 +137,7 @@ class MeshHomeoCandidate:
         return path if a <= b else tuple(reversed(path))
 
 
-def identity_candidate(topo_k, topo_l, m, n, index=0):
+def identity_candidate(topo_k, m, n, index=0):
     chains = {e: (e[0], e[1]) for e in topo_k.edges}
     vmap = {v: v for v in range(len(topo_k.vertices))}
     return MeshHomeoCandidate(m=m, n=n, edges=tuple(topo_k.edges),
@@ -182,19 +181,16 @@ def _chain_options(topo_l, start, target, used, max_len, boundary_only, steps):
     return out
 
 
-def enumerate_candidates(surface_k, surface_l, budget, m=0, n=0,
+def enumerate_candidates(topo_k, topo_l, budget, m=0, n=0,
                          identity_first=None, tol=DEFAULT_TOL):
-    """Deterministic stream of chain assignments between two complexes.
+    """Deterministic stream of chain assignments between two Topologies.
 
-    Accepts Surfaces or Topologies.  Candidates satisfy the structural rules
-    (simple chains within the length cap, boundary edges staying on the
-    boundary, endpoint consistency, chains disjoint except prescribed shared
-    endpoints); full validity is is_valid_mesh_homeo's job.  When both
-    complexes agree and identity_first is not disabled, the identity
-    assignment is yielded first.
+    Candidates satisfy the structural rules (simple chains within the length
+    cap, boundary edges staying on the boundary, endpoint consistency, chains
+    disjoint except prescribed shared endpoints); full validity is
+    is_valid_mesh_homeo's job.  When both complexes agree and identity_first
+    is not disabled, the identity assignment is yielded first.
     """
-    topo_k = surface_k if isinstance(surface_k, Topology) else Topology(surface_k.param)
-    topo_l = surface_l if isinstance(surface_l, Topology) else Topology(surface_l.param)
     if budget.max_candidates_per_pair <= 0:
         return
 
@@ -204,7 +200,7 @@ def enumerate_candidates(surface_k, surface_l, budget, m=0, n=0,
     count = 0
     ident = None
     if identity_first:
-        ident = identity_candidate(topo_k, topo_l, m, n, index=0)
+        ident = identity_candidate(topo_k, m, n, index=0)
         yield ident
         count += 1
         if count >= budget.max_candidates_per_pair:
@@ -219,7 +215,6 @@ def enumerate_candidates(surface_k, surface_l, budget, m=0, n=0,
     chains = {}
 
     def assign(depth):
-        nonlocal count
         if count >= budget.max_candidates_per_pair or steps[0] <= 0:
             return
         if depth == len(edges):
@@ -266,15 +261,10 @@ def enumerate_candidates(surface_k, surface_l, budget, m=0, n=0,
                     del h[u]
                 if set_v:
                     del h[v]
-        return
 
-    def run():
-        nonlocal count
-        for cand in assign(0):
-            yield cand
-            count += 1
-
-    yield from run()
+    for cand in assign(0):
+        yield cand
+        count += 1
 
 
 def _structural_ok(cand, topo_k, topo_l):
@@ -333,9 +323,14 @@ def _boundary_ok(cand, topo_k, topo_l):
     return len(seen) == topo_l.n_boundary_edges
 
 
-def _face_regions_impl(cand, topo_k, topo_l):
+def _valid_regions(cand, topo_k, topo_l):
     """Regions of L^n triangles bounded by the chain image graph, mapped from
-    K^m triangles; None when the structure is not a consistent partition."""
+    K^m triangles, for a valid candidate: one that passes the structural
+    rules, then the boundary rule, then forms a consistent face partition.
+    None when any of the three fails."""
+    if not _structural_ok(cand, topo_k, topo_l) or \
+            not _boundary_ok(cand, topo_k, topo_l):
+        return None
     blocked = set()
     for path in cand.chains.values():
         for (a, b) in zip(path, path[1:]):
@@ -382,47 +377,31 @@ def _face_regions_impl(cand, topo_k, topo_l):
 
 
 def is_valid_mesh_homeo(cand, topo_k, topo_l):
-    """Full validity: structural rules, boundary onto + orientation, and a
-    consistent face-region partition."""
-    if not isinstance(topo_k, Topology):
-        topo_k = Topology(topo_k.param)
-    if not isinstance(topo_l, Topology):
-        topo_l = Topology(topo_l.param)
-    if not _structural_ok(cand, topo_k, topo_l):
-        return False
-    if not _boundary_ok(cand, topo_k, topo_l):
-        return False
-    return _face_regions_impl(cand, topo_k, topo_l) is not None
+    """Full validity of a candidate between two Topologies."""
+    return _valid_regions(cand, topo_k, topo_l) is not None
 
 
 def face_regions(cand, topo_k, topo_l):
     """Map each K^m triangle to its region of L^n triangles; raises on invalid
     candidates."""
-    if not isinstance(topo_k, Topology):
-        topo_k = Topology(topo_k.param)
-    if not isinstance(topo_l, Topology):
-        topo_l = Topology(topo_l.param)
-    if not _structural_ok(cand, topo_k, topo_l) or not _boundary_ok(cand, topo_k, topo_l):
-        raise InvalidCandidateError("candidate is not a valid mesh homeomorphism")
-    regions = _face_regions_impl(cand, topo_k, topo_l)
+    regions = _valid_regions(cand, topo_k, topo_l)
     if regions is None:
-        raise InvalidCandidateError("candidate face regions do not partition")
+        raise InvalidCandidateError("candidate is not a valid mesh homeomorphism")
     return regions
 
 
-def evaluate_delta(cand, f_sub, g_sub, regions=None, topo_k=None, topo_l=None):
+def evaluate_delta(cand, f_sub, g_sub, regions=None):
     """Max distance between f-vertex images of each K^m triangle and g-vertex
     images inside its matched region."""
-    topo_k = topo_k or Topology(f_sub.param)
-    topo_l = topo_l or Topology(g_sub.param)
     if regions is None:
-        regions = face_regions(cand, topo_k, topo_l)
+        regions = face_regions(cand, Topology(f_sub.param), Topology(g_sub.param))
+    g_tris = g_sub.param.triangles
     best = 0.0
-    for ti, (i, j, k) in enumerate(topo_k.triangles):
+    for ti, (i, j, k) in enumerate(f_sub.param.triangles):
         f_pts = [f_sub.image[i], f_sub.image[j], f_sub.image[k]]
         w_idx = set()
         for lt in regions[ti]:
-            w_idx.update(topo_l.triangles[lt])
+            w_idx.update(g_tris[lt])
         for fp in f_pts:
             for wi in w_idx:
                 d = vdist(fp, g_sub.image[wi])
@@ -438,39 +417,34 @@ def semi_compute_stream(f, g, budget, tol=DEFAULT_TOL):
     lowers the running minimum."""
     t_start = time.monotonic()
     best = math.inf
-    f_subs = {0: f}
-    g_subs = {0: g}
+    # (input surface, level) -> subdivision; f and g share entries when equal
+    subs = {}
 
-    def f_sub(m):
-        if m not in f_subs:
-            f_subs[m] = subdivide_times(f_sub(m - 1), 1)
-        return f_subs[m]
+    def sub(surface, level):
+        key = (surface, level)
+        if key not in subs:
+            subs[key] = surface if level == 0 else \
+                subdivide_times(sub(surface, level - 1), 1)
+        return subs[key]
 
-    def g_sub(n):
-        if n not in g_subs:
-            g_subs[n] = subdivide_times(g_sub(n - 1), 1)
-        return g_subs[n]
+    def out_of_time():
+        return budget.wall_clock_s is not None and \
+            time.monotonic() - t_start > budget.wall_clock_s
 
     for (m, n) in pair_sequence(budget):
-        if budget.wall_clock_s is not None and \
-                time.monotonic() - t_start > budget.wall_clock_s:
+        if out_of_time():
             return
-        fs = f_sub(m)
-        gs = g_sub(n)
+        fs = sub(f, m)
+        gs = sub(g, n)
         topo_k = Topology(fs.param)
         topo_l = Topology(gs.param)
         for cand in enumerate_candidates(topo_k, topo_l, budget, m=m, n=n, tol=tol):
-            if budget.wall_clock_s is not None and \
-                    time.monotonic() - t_start > budget.wall_clock_s:
+            if out_of_time():
                 return
-            if not _structural_ok(cand, topo_k, topo_l):
-                continue
-            if not _boundary_ok(cand, topo_k, topo_l):
-                continue
-            regions = _face_regions_impl(cand, topo_k, topo_l)
+            regions = _valid_regions(cand, topo_k, topo_l)
             if regions is None:
                 continue
-            val = evaluate_delta(cand, fs, gs, regions, topo_k, topo_l)
+            val = evaluate_delta(cand, fs, gs, regions)
             if val < best:
                 best = val
                 yield (val, m, n, cand.index)

@@ -58,9 +58,6 @@ class ParamTriangulation:
     def edges(self):
         return sorted(self.edge_map().keys())
 
-    def internal_edges(self):
-        return sorted(e for e, ts in self.edge_map().items() if len(ts) == 2)
-
     def boundary_edges(self):
         return sorted(e for e, ts in self.edge_map().items() if len(ts) == 1)
 

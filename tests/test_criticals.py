@@ -6,7 +6,8 @@ import pytest
 from frechet_surfaces import (CriticalValue, PairGeometry, critical_values_2c,
                               critical_values_C1, freespace)
 from frechet_surfaces.criticals import (_FEATURES, _feature_ranges,
-                                        equidistance_values_on_segment)
+                                        equidistance_values_on_segment,
+                                        triple_equidistance_values)
 from frechet_surfaces.geometry import (closest_point_segment, dist_point_triangle,
                                        vdist)
 from frechet_surfaces.surface import ParamTriangulation, Surface
@@ -250,6 +251,40 @@ def test_t2c_narrow_bracket_keeps_symmetric_value():
     hits = [cv for cv in vals if abs(cv.value - expected) < 1e-9]
     assert any(set(cv.provenance[3]) == {0, 2, 4} for cv in hits), \
         ([cv.value for cv in vals], expected)
+
+
+# a host image triangle and three image triangles of the other surface that
+# share their vertex V: at points whose nearest point on all three is V, the
+# three distances agree whichever feature row's conics meet there
+_SHARED_V = (-0.40021695871619933, 0.26060538325311494, 0.11751595566996365)
+_SHARED_VERTEX_HOST = ((0.12451820164135258, 0.7262982762626384, 0.1642535100319828),
+                       (0.07112651522156244, 0.010965237720125143, 0.12335983321752214),
+                       (0.11857743933838433, 0.5138805376191721, 0.45349933180958896))
+_SHARED_VERTEX_OTHERS = [
+    (0, ((-0.03645751646149436, -0.023033540876893153, -0.36978773301575013),
+         _SHARED_V,
+         (-0.2915102339419734, -0.17007004429197564, 0.11058166660473912))),
+    (2, (_SHARED_V,
+         (-0.7213288951860272, -0.3582923762071068, 0.8587748455890953),
+         (-0.5355658214441771, -0.16094571654975356, 0.5203165901858935))),
+    (3, (_SHARED_V,
+         (-0.5355658214441771, -0.16094571654975356, 0.5203165901858935),
+         (-0.2915102339419734, -0.17007004429197564, 0.11058166660473912))),
+]
+
+
+def test_t2c_rejects_roots_of_rows_whose_features_are_not_nearest():
+    # a random pair drawn by the benchmark's generator reported 0.65877...
+    # here, a root of the row (edge 0, edge 1, vertex 0) at a point whose
+    # nearest feature on all three triangles is V; every range is (0, inf),
+    # so the feature-range pruning cannot hide such a root
+    from frechet_surfaces.geometry import frame_of_triangle
+    frame = frame_of_triangle(_SHARED_VERTEX_HOST)
+    tri2d = [frame.to_plane(p) for p in _SHARED_VERTEX_HOST]
+    ranges = [[(0.0, math.inf)] * len(_FEATURES) for _ in _SHARED_VERTEX_OTHERS]
+    vals = triple_equidistance_values(frame, tri2d, _SHARED_VERTEX_OTHERS,
+                                      ranges, 0.0, 1.0)
+    assert vals == []
 
 
 def _feature_distance(p, tri, feature):

@@ -23,7 +23,7 @@ from frechet_surfaces.geometry import (GeometryError, OverlappingArcsError,
                                        dist_segment_triangle,
                                        dist_triangle_triangle,
                                        eps_neighborhood_plane_boundary,
-                                       frame_of_triangle, identity_frame_2d,
+                                       frame_of_triangle,
                                        make_circle_arc, make_segment_arc,
                                        Plane2Frame, SLICE_EMPTY, SLICE_BOUNDARY,
                                        segment_crosses_triangle, vdist)
@@ -414,7 +414,8 @@ def test_neighborhood_monotone_in_eps(rng):
 
 def test_neighborhood_2d_offset():
     tri2 = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    sl = eps_neighborhood_plane_boundary(tri2, 0.1, identity_frame_2d())
+    sl = eps_neighborhood_plane_boundary(
+        tri2, 0.1, Plane2Frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
     kinds = sorted(a.kind for a in sl.arcs)
     assert kinds.count("segment") == 3 and kinds.count("circle") == 3
 

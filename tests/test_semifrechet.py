@@ -6,7 +6,7 @@ import pytest
 from frechet_surfaces import (Budget, Topology, compute, enumerate_candidates,
                               evaluate_delta, face_regions, is_valid_mesh_homeo,
                               lipschitz_constant, mesh_size, semi_compute_stream,
-                              subdivide_times)
+                              semifrechet, subdivide_times)
 from frechet_surfaces.semifrechet import (InvalidCandidateError,
                                           MeshHomeoCandidate,
                                           identity_candidate, pair_sequence)
@@ -144,7 +144,7 @@ def test_enumeration_matches_bruteforce_chain2():
 def test_identity_is_valid():
     f = flat_surface()
     t = topo_of(f)
-    cand = identity_candidate(t, t, 0, 0)
+    cand = identity_candidate(t, 0, 0)
     assert is_valid_mesh_homeo(cand, t, t)
 
 
@@ -152,7 +152,7 @@ def test_crossing_chains_invalid():
     # map the square's diagonal edge to the wrong diagonal path: chains cross
     f = flat_surface()
     t = topo_of(f)
-    cand = identity_candidate(t, t, 0, 0)
+    cand = identity_candidate(t, 0, 0)
     # vertices: 0=(0,0) 1=(1,0) 2=(1,1) 3=(0,1); diagonal edge is (0,2);
     # reroute it through vertex 3, which other chains use as an endpoint
     chains = dict(cand.chains)
@@ -196,6 +196,26 @@ def test_validity_matches_embedding_checker(rng):
     for cand in enumerate_candidates(t, t, Budget(max_candidates_per_pair=50,
                                                   max_chain_len=2)):
         assert is_valid_mesh_homeo(cand, t, t) == embedding_checker(cand, t, t)
+
+
+def test_face_regions_raises_exactly_on_invalid_candidates(rng):
+    f = flat_surface()
+    g = random_surface(rng, tri_range=(4, 6))
+    pairs = [(f, f), (f, subdivide_times(f, 1)), (g, g)]
+    budget = Budget(max_candidates_per_pair=200, max_chain_len=2,
+                    max_steps_per_pair=10 ** 6)
+    seen = {True: 0, False: 0}
+    for a, b in pairs:
+        tk, tl = topo_of(a), topo_of(b)
+        for cand in enumerate_candidates(tk, tl, budget, identity_first=False):
+            valid = is_valid_mesh_homeo(cand, tk, tl)
+            seen[valid] += 1
+            if valid:
+                face_regions(cand, tk, tl)
+            else:
+                with pytest.raises(InvalidCandidateError):
+                    face_regions(cand, tk, tl)
+    assert seen[True] and seen[False]
 
 
 def embedding_checker(cand, topo_k, topo_l):
@@ -295,7 +315,7 @@ def embedding_checker(cand, topo_k, topo_l):
 def test_face_regions_identity():
     f = flat_surface()
     t = topo_of(f)
-    cand = identity_candidate(t, t, 0, 0)
+    cand = identity_candidate(t, 0, 0)
     regions = face_regions(cand, t, t)
     assert regions == {0: [0], 1: [1]}
 
@@ -326,7 +346,7 @@ def test_face_regions_refined_target():
 def test_face_regions_invalid_raises():
     f = flat_surface()
     t = topo_of(f)
-    cand = identity_candidate(t, t, 0, 0)
+    cand = identity_candidate(t, 0, 0)
     chains = dict(cand.chains)
     chains[(0, 2)] = (0, 3, 2)
     bad = MeshHomeoCandidate(0, 0, cand.edges, chains, cand.vertex_map)
@@ -339,7 +359,7 @@ def test_evaluate_delta_identity_bound(rng):
     for m in range(2):
         fs = subdivide_times(f, m)
         t = topo_of(fs)
-        cand = identity_candidate(t, t, m, m)
+        cand = identity_candidate(t, m, m)
         val = evaluate_delta(cand, fs, fs)
         assert val <= lipschitz_constant(f) * mesh_size(fs.param) + 1e-12
 
@@ -348,7 +368,7 @@ def test_evaluate_delta_translate_pythagoras():
     f = flat_surface()
     g = translate_surface(f, (0.0, 0.0, 0.3))
     t = topo_of(f)
-    cand = identity_candidate(t, t, 0, 0)
+    cand = identity_candidate(t, 0, 0)
     val = evaluate_delta(cand, f, g)
     D = math.sqrt(2.0)  # max same-triangle planar vertex distance
     assert abs(val - math.sqrt(0.3 ** 2 + D ** 2)) < 1e-12
@@ -359,7 +379,7 @@ def test_evaluate_delta_matches_bruteforce(rng):
     # identity candidate needs matching parameter complexes
     g2 = translate_surface(f, (0.2, -0.1, 0.4))
     t = topo_of(f)
-    cand = identity_candidate(t, t, 0, 0)
+    cand = identity_candidate(t, 0, 0)
     regions = face_regions(cand, t, t)
     val = evaluate_delta(cand, f, g2)
     brute = 0.0
@@ -388,6 +408,24 @@ def test_stream_identity_levels():
         assert v <= lipschitz_constant(f) * mesh_size(
             subdivide_times(f, m).param) + 1e-12
         assert v >= -1e-12
+
+
+def test_stream_of_a_surface_against_itself_subdivides_each_level_once(
+        monkeypatch):
+    f = flat_surface()
+    calls = []
+    orig = semifrechet.subdivide_times
+
+    def counting(surface, m):
+        calls.append((len(surface.param.triangles), m))
+        return orig(surface, m)
+
+    monkeypatch.setattr(semifrechet, "subdivide_times", counting)
+    budget = Budget(max_pairs=10, max_candidates_per_pair=1, max_chain_len=1)
+    assert max(max(m, n) for m, n in pair_sequence(budget)) == 3
+    list(semi_compute_stream(f, f, budget))
+    # levels 1, 2 and 3, each from the level below (2, 12, 72 triangles)
+    assert calls == [(2, 1), (12, 1), (72, 1)]
 
 
 def values_mnk(stream_list):

@@ -17,8 +17,7 @@ from .geometry import (ConicArc, GeometryError, Plane2Frame,
 from .surface import (ParamTriangulation, Surface, ValidationError,
                       barycentric_subdivide, eval_surface, lipschitz_constant,
                       mesh_size, subdivide_times, validate)
-from .freespace import (FreeSpaceGraph, PairGeometry, boundary_cell_nonempty,
-                        build_graph, cell_nonempty, components)
+from .freespace import FreeSpaceGraph, PairGeometry, build_graph
 from .coverage import component_extensive, triangle_covered
 from .criticals import CriticalValue, critical_values_C1, critical_values_2c
 from .decision import (WeakFrechetResult, compute, decide, hausdorff_sampled,
@@ -40,8 +39,7 @@ __all__ = [
     "ParamTriangulation", "Surface", "ValidationError",
     "barycentric_subdivide", "eval_surface", "lipschitz_constant",
     "mesh_size", "subdivide_times", "validate",
-    "FreeSpaceGraph", "PairGeometry", "boundary_cell_nonempty", "build_graph",
-    "cell_nonempty", "components",
+    "FreeSpaceGraph", "PairGeometry", "build_graph",
     "component_extensive", "triangle_covered",
     "CriticalValue", "critical_values_C1", "critical_values_2c",
     "WeakFrechetResult", "compute", "decide", "hausdorff_sampled",

@@ -9,7 +9,7 @@ arrangement face; each face is then classified by the direct distance
 predicate, so correctness never depends on arc orientation bookkeeping.
 """
 
-from .scalar import DEFAULT_TOL, Ordering, cmp
+from .scalar import DEFAULT_TOL, within
 from .geometry import (OverlappingArcsError, arc_pair_intersections,
                        dist_point_triangle, eps_neighborhood_plane_boundary,
                        frame_of_triangle, make_segment_arc, SLICE_EMPTY)
@@ -20,7 +20,7 @@ _PERTURB_ANGLE = 0.0137921830923741
 
 def _point_covered(p, partner_tris, eps, tol):
     for tri in partner_tris:
-        if cmp(dist_point_triangle(p, tri, tol, degenerate_ok=True), eps, tol) != Ordering.GREATER:
+        if within(dist_point_triangle(p, tri, tol, degenerate_ok=True), eps, tol):
             return True
     return False
 
@@ -86,8 +86,8 @@ def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL, svg_path=None)
     corners = list(tri_img)
     # single convex partner region containing all corners covers everything
     for tri in partner_tris:
-        if all(cmp(dist_point_triangle(c, tri, tol, degenerate_ok=True), eps, tol)
-               != Ordering.GREATER for c in corners):
+        if all(within(dist_point_triangle(c, tri, tol, degenerate_ok=True), eps, tol)
+               for c in corners):
             if svg_path:
                 fr = frame_of_triangle(tri_img, tol)
                 tri2d = [fr.to_plane(v) for v in tri_img]

@@ -18,8 +18,9 @@ import numpy as np
 from .scalar import DEFAULT_TOL, DegeneratePolynomialError, quadratic_roots
 from .freespace import PairGeometry
 from .geometry import (closest_point_segment, closest_point_triangle,
-                       cross_norm, dist_point_triangle, closest_segment_segment,
-                       frame_of_triangle, vcross3, vdist, vdot, vnorm, vscale,
+                       conic_value, cross_norm, dist_point_triangle,
+                       closest_segment_segment, frame_of_triangle,
+                       perp_component, vcross3, vdist, vdot, vnorm, vscale,
                        vsub)
 
 
@@ -37,10 +38,6 @@ class CriticalValue:
 def _unit(v):
     n = vnorm(v)
     return vscale(v, 1.0 / n) if n > 0 else v
-
-
-def _perp_component(v, u):
-    return vsub(v, vscale(u, vdot(v, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +70,7 @@ def _region_breakpoints_on_segment(seg, tri):
         a, b = tri[i], tri[(i + 1) % 3]
         c = tri[(i + 2) % 3]
         u = _unit(vsub(b, a))
-        w = _perp_component(vsub(c, a), u)
+        w = perp_component(vsub(c, a), u)
         add_plane(w, -vdot(a, w))
     return ts
 
@@ -317,7 +314,7 @@ def _is_nearest_feature(p, xy, tri, feature, conic, dist, slack):
     does the distance to the segment itself, so the hull's nearest point lies
     on the edge.  A vertex is its own hull, and a face whose plane is as far
     as the triangle has its nearest plane point inside the triangle."""
-    if abs(math.sqrt(max(0.0, _conic_value(conic, *xy))) - dist) > slack:
+    if abs(math.sqrt(max(0.0, conic_value(conic, *xy))) - dist) > slack:
         return False
     kind, idx = feature
     if kind != "edge":
@@ -448,11 +445,6 @@ def _y_on_conic(c, x, tol):
     if abs(b) > 1e-12:
         return [-cc / b]
     return []
-
-
-def _conic_value(c, x, y):
-    A, B, C, D, E, F = c
-    return A * x * x + B * x * y + C * y * y + D * x + E * y + F
 
 
 def _feature_ranges(geometry, q_on_f, q, i):
@@ -592,8 +584,8 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
             for y in ys:
                 if not (ylo[row] <= y <= yhi[row]):
                     continue
-                r1 = _conic_value(c1, x, y)
-                r2 = _conic_value(c2, x, y)
+                r1 = conic_value(c1, x, y)
+                r2 = conic_value(c2, x, y)
                 conic_scale = 1e-5 * max(1.0, abs(x) + abs(y)) ** 2 * scale
                 if abs(r1) > conic_scale or abs(r2) > conic_scale:
                     continue

@@ -71,8 +71,9 @@ def _point_segment_coefficients(p, seg):
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _free_intervals(A, B, W, eps):
-    """point_segment_free_interval elementwise over arrays of coefficients,
-    as (lo, hi, free); lo and hi are meaningless where free is False.  Each
+    """{t in [0,1] : |p - seg(t)| <= eps} for arrays of the coefficients
+    (A, B, W) of _point_segment_coefficients, as (lo, hi, free); lo and hi
+    are meaningless where free is False.  Each
     operation is the one plain float arithmetic does, in the same order, and
     max(lo, 0.0) and min(hi, 1.0) keep their first argument unless the second
     is strictly beyond it, so every interval equals the plain-float one bit
@@ -87,13 +88,6 @@ def _free_intervals(A, B, W, eps):
     point = A == 0.0
     free = np.where(point, C <= 0.0, ~(disc < 0.0) & ~(lo > hi))
     return np.where(point, 0.0, lo), np.where(point, 1.0, hi), free
-
-
-def point_segment_free_interval(p, seg, eps):
-    """{t in [0,1] : |p - seg(t)| <= eps} as (lo, hi) or None."""
-    coefficients = (np.float64(c) for c in _point_segment_coefficients(p, seg))
-    lo, hi, free = _free_intervals(*coefficients, eps)
-    return (float(lo), float(hi)) if free else None
 
 
 def _projection_pieces(seg_f, seg_g):
@@ -175,11 +169,6 @@ def _projection_interval(pieces, eps):
     return (min(p[0] for p in parts), max(p[1] for p in parts))
 
 
-def segment_segment_projection_interval(seg_f, seg_g, eps, tol=DEFAULT_TOL):
-    """{s in [0,1] : dist(seg_f(s), seg_g) <= eps}, one interval by convexity."""
-    return _projection_interval(_projection_pieces(seg_f, seg_g), eps)
-
-
 class CurvePairGeometry:
     """The eps-independent geometry of a curve pair's free-space diagram.
 
@@ -198,10 +187,9 @@ class CurvePairGeometry:
                              g-segment j
         g_pieces[j][i]       those of g-segment j onto f-segment i
 
-    Every free interval at eps is the scalar routine's bit for bit:
-    point_segment_free_interval and segment_segment_projection_interval
-    evaluate the same coefficients by the same helpers.  One geometry serves
-    every eps of one curve_compute.
+    The boundary free intervals at eps are _free_intervals of the left and
+    bottom tables, and the projection intervals _projection_interval of the
+    pieces.  One geometry serves every eps of one curve_compute.
     """
 
     def __init__(self, f, g, tol=DEFAULT_TOL):

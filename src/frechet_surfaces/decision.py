@@ -7,13 +7,16 @@ enumerated critical values, refining the final bracket either with type-2c
 candidates ("exact" mode) or by plain bisection ("bisect" mode).
 """
 
+import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .scalar import DEFAULT_TOL, bisect_threshold
+from .batched import batch_dist_point_triangle
 from .coverage import CoverageRecord, component_extensive
 from .criticals import critical_values_C1, critical_values_2c
 from .freespace import PairGeometry, build_graph
-from .geometry import dist_points_mesh
 from .surface import (image_diameter_bound, require_valid, sample_image_points)
 
 
@@ -72,6 +75,19 @@ def _first_true(cands, test):
     return hi_i
 
 
+def _merged_values(candidates, lo, hi, tol):
+    """The values of sorted candidates more than their dedup radius (10x the
+    tolerance gap) inside (lo, hi), each more than that radius above the last
+    one kept."""
+    out = []
+    for cv in candidates:
+        gapv = 10.0 * tol.gap(cv.value)
+        if lo + gapv < cv.value < hi - gapv:
+            if not out or abs(cv.value - out[-1]) > gapv:
+                out.append(cv.value)
+    return out
+
+
 def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     """Weak Fréchet distance: min eps with decide(f, g, eps) true.
 
@@ -108,13 +124,9 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     if probe(0.0):
         return WeakFrechetResult(0.0, 0.0, witnesses[0.0], mode, probes)
 
-    c1 = critical_values_C1(f, g, tol, geometry=geometry)
-    vals = []
-    for cv in c1:
-        if cv.value <= 10.0 * tol.gap(cv.value):
-            continue  # tolerance-zero candidates behave like eps = 0
-        if not vals or abs(cv.value - vals[-1]) > 10.0 * tol.gap(cv.value):
-            vals.append(cv.value)
+    # lo = 0.0 drops tolerance-zero candidates, which behave like eps = 0
+    vals = _merged_values(critical_values_C1(f, g, tol, geometry=geometry),
+                          0.0, math.inf, tol)
     eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
     if not vals or vals[-1] < eps_max:
         vals.append(eps_max)
@@ -129,13 +141,7 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     if mode == MODE_EXACT:
         c2 = critical_values_2c(f, g, bracket_lo, bracket_hi, tol,
                                 geometry=geometry)
-        inner = []
-        for cv in c2:
-            gapv = 10.0 * tol.gap(cv.value)
-            if bracket_lo + gapv < cv.value < bracket_hi - gapv:
-                if not inner or abs(cv.value - inner[-1]) > gapv:
-                    inner.append(cv.value)
-        cands = inner + [bracket_hi]
+        cands = _merged_values(c2, bracket_lo, bracket_hi, tol) + [bracket_hi]
         distance = cands[_first_true(cands, probe_candidate)]
     else:
         # the candidate search probed with slack, so the flip may sit just
@@ -164,9 +170,15 @@ def hausdorff_sampled(f, g, density, tol=DEFAULT_TOL):
         raise ValueError("density must be positive")
     require_valid(f, tol)
     require_valid(g, tol)
-    pf = sample_image_points(f, density)
-    pg = sample_image_points(g, density)
-    d_fg = float(dist_points_mesh(pf, g.image_triangles()).max())
-    d_gf = float(dist_points_mesh(pg, f.image_triangles()).max())
-    lower = max(d_fg, d_gf)
+    lower = max(_farthest_sample(f, g, density), _farthest_sample(g, f, density))
     return lower, lower + density
+
+
+def _farthest_sample(f, g, density):
+    """Largest distance from a sample of f's image to g's image."""
+    coords = tuple(sample_image_points(f, density).T)
+    best = None
+    for tri in g.image_triangles():
+        d = batch_dist_point_triangle(coords, tri)
+        best = d if best is None else np.minimum(best, d)
+    return float(best.max())

@@ -13,10 +13,9 @@ those distances thresholded at eps, plus union-find.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .scalar import DEFAULT_TOL, Ordering, cmp
+from .scalar import DEFAULT_TOL, within
 from .batched import (point_triangle_table, segment_triangle_table,
                       triangle_triangle_table)
-from .geometry import dist_segment_triangle, dist_triangle_triangle
 
 
 class UnionFind:
@@ -38,34 +37,6 @@ class UnionFind:
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
-
-
-def within(dist, eps, tol):
-    """Closed predicate: dist <= eps, with tolerance-equal counted inside."""
-    return cmp(dist, eps, tol) != Ordering.GREATER
-
-
-def cell_nonempty(f, g, cell, eps, tol=DEFAULT_TOL):
-    """True iff the free-space cell of (triangle of f, triangle of g) is
-    nonempty, i.e. the image triangles come within eps."""
-    k, l = cell
-    d = dist_triangle_triangle(f.image_triangle(k), g.image_triangle(l), tol)
-    return within(d, eps, tol)
-
-
-def boundary_cell_nonempty(f, g, boundary, eps, tol=DEFAULT_TOL):
-    """Boundary cell nonemptiness.  `boundary` is ("k_edge", edge, l_tri) or
-    ("l_edge", k_tri, edge) with edge a vertex-index pair."""
-    kind = boundary[0]
-    if kind == "k_edge":
-        _, edge, l_tri = boundary
-        d = dist_segment_triangle(f.image_segment(edge), g.image_triangle(l_tri), tol)
-    elif kind == "l_edge":
-        _, k_tri, edge = boundary
-        d = dist_segment_triangle(g.image_segment(edge), f.image_triangle(k_tri), tol)
-    else:
-        raise ValueError(f"unknown boundary cell kind {kind!r}")
-    return within(d, eps, tol)
 
 
 @dataclass
@@ -206,7 +177,3 @@ def build_graph(f, g, eps, tol=DEFAULT_TOL, geometry=None):
     component_of = {v: uf.find(v) for v in vertices}
     return FreeSpaceGraph(eps=eps, vertices=vertices, edges=sorted(edges),
                           component_of=component_of)
-
-
-def components(graph):
-    return graph.components()

@@ -2,8 +2,8 @@
 
 Minimum distances between points, segments and triangles; plane frames; and
 the conic arcs that bound the intersection of a triangle's eps-neighborhood
-with a plane.  Points are plain tuples of floats (length 2 or 3); batch
-variants take numpy arrays where oracles and sampling need throughput.
+with a plane.  Points are plain tuples of floats (length 2 or 3); the numpy
+versions of the distance routines are in batched.py.
 """
 
 import math
@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scalar import (DEFAULT_TOL, DegeneratePolynomialError, Ordering, Tolerance,
-                     cmp, poly_add, poly_mul, poly_scale, poly_sub,
-                     quadratic_roots, real_roots)
+from .scalar import (DEFAULT_TOL, DegeneratePolynomialError, Tolerance,
+                     poly_add, poly_mul, poly_scale, poly_sub,
+                     quadratic_roots, real_roots, within)
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,6 +58,11 @@ def vdist(a, b):
 
 def vlerp(a, b, t):
     return tuple(x + t * (y - x) for x, y in zip(a, b))
+
+
+def perp_component(v, unit_axis):
+    """The part of v orthogonal to the unit vector unit_axis."""
+    return vsub(v, vscale(unit_axis, vdot(v, unit_axis)))
 
 
 def vcross3(a, b):
@@ -272,81 +277,6 @@ def dist_triangle_triangle(t1, t2, tol=DEFAULT_TOL, degenerate_ok=False):
     return best
 
 
-def dist_points_triangle(points, tri):
-    """Vectorized point-to-triangle distances. points: (n, d) array."""
-    P = np.asarray(points, dtype=float)
-    a = np.asarray(tri[0], dtype=float)
-    b = np.asarray(tri[1], dtype=float)
-    c = np.asarray(tri[2], dtype=float)
-    ab = b - a
-    ac = c - a
-    ap = P - a
-    d1 = ap @ ab
-    d2 = ap @ ac
-    bp = P - b
-    d3 = bp @ ab
-    d4 = bp @ ac
-    cp = P - c
-    d5 = cp @ ab
-    d6 = cp @ ac
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    n = P.shape[0]
-    closest = np.empty_like(P)
-    done = np.zeros(n, dtype=bool)
-
-    m = (d1 <= 0) & (d2 <= 0)
-    closest[m] = a
-    done |= m
-
-    m = (~done) & (d3 >= 0) & (d4 <= d3)
-    closest[m] = b
-    done |= m
-
-    m = (~done) & (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    if m.any():
-        t = d1[m] / (d1[m] - d3[m])
-        closest[m] = a + t[:, None] * ab
-    done |= m
-
-    m = (~done) & (d6 >= 0) & (d5 <= d6)
-    closest[m] = c
-    done |= m
-
-    m = (~done) & (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    if m.any():
-        t = d2[m] / (d2[m] - d6[m])
-        closest[m] = a + t[:, None] * ac
-    done |= m
-
-    m = (~done) & (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-    if m.any():
-        t = (d4[m] - d3[m]) / ((d4[m] - d3[m]) + (d5[m] - d6[m]))
-        closest[m] = b + t[:, None] * (c - b)
-    done |= m
-
-    m = ~done
-    if m.any():
-        denom = va[m] + vb[m] + vc[m]
-        denom = np.where(denom == 0.0, 1.0, denom)
-        v = (vb[m] / denom)[:, None]
-        w = (vc[m] / denom)[:, None]
-        closest[m] = a + v * ab + w * ac
-
-    return np.linalg.norm(P - closest, axis=1)
-
-
-def dist_points_mesh(points, triangles):
-    """Min distance from each point to a list of triangles (vectorized)."""
-    best = None
-    for tri in triangles:
-        d = dist_points_triangle(points, tri)
-        best = d if best is None else np.minimum(best, d)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Plane frames
 # ---------------------------------------------------------------------------
@@ -551,10 +481,11 @@ class ConicArc:
                 out.append(y)
         return out
 
-    def implicit_residual(self, p):
-        A, B, C, D, E, F = self.coeffs
-        x, y = p
-        return A * x * x + B * x * y + C * y * y + D * x + E * y + F
+
+def conic_value(coeffs, x, y):
+    """A x^2 + B xy + C y^2 + D x + E y + F for coeffs (A, B, C, D, E, F)."""
+    A, B, C, D, E, F = coeffs
+    return A * x * x + B * x * y + C * y * y + D * x + E * y + F
 
 
 def _circle_coeffs(cx, cy, r):
@@ -700,10 +631,6 @@ class PlaneSlice:
     status: str = SLICE_BOUNDARY
 
 
-def _perp_component(v, unit_axis):
-    return vsub(v, vscale(unit_axis, vdot(v, unit_axis)))
-
-
 def _classify_restricted_quadric(frame, A2, b2, c0, source, scene_halfwidth,
                                  halfplanes, tol):
     """Zero set of a PSD quadratic on the plane, clipped by half-planes.
@@ -818,7 +745,7 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
     d = len(tri[0])
 
     dmin = plane_triangle_distance(frame, tri)
-    if cmp(dmin, eps, tol) == Ordering.GREATER:
+    if not within(dmin, eps, tol):
         return PlaneSlice([], SLICE_EMPTY)
 
     # Half-width of a box (in plane coords, around the frame origin) certain to
@@ -874,7 +801,7 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
         hps.append(hp_in_plane(grad, -vdot(a, grad)))
         grad = vsub(b, a)  # (p - a).(b - a) - L^2 <= 0
         hps.append(hp_in_plane(grad, -vdot(a, grad) - L * L))
-        wout = _perp_component(vsub(c, a), u)
+        wout = perp_component(vsub(c, a), u)
         hps.append(hp_in_plane(wout, -vdot(a, wout)))
         arcs.extend(_classify_restricted_quadric(
             frame, A2, b2v, c0, ("edge", i), scene, hps, tol))
@@ -977,10 +904,6 @@ def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):
     a1, b1, cc1 = _conic_as_y_quadratic(c1)
     a2, b2, cc2 = _conic_as_y_quadratic(c2)
 
-    def eval_conic(c, x, y):
-        A, B, C, D, E, F = c
-        return A * x * x + B * x * y + C * y * y + D * x + E * y + F
-
     pts = []
     tiny = 1e-10
 
@@ -1014,7 +937,7 @@ def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):
             except DegeneratePolynomialError:
                 ys = []
             for y in ys:
-                if abs(eval_conic(c2, x, y)) <= 1e-6 * (1.0 + x * x + y * y):
+                if abs(conic_value(c2, x, y)) <= 1e-6 * (1.0 + x * x + y * y):
                     pts.append((x, y))
     else:
         # both linear in y: b_i(x) y + c_i(x) = 0
@@ -1032,8 +955,8 @@ def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):
                 y = -(cc2[0] + cc2[1] * x + cc2[2] * x * x) / den2
             else:
                 continue
-            if (abs(eval_conic(c1, x, y)) <= 1e-6 * (1.0 + x * x + y * y)
-                    and abs(eval_conic(c2, x, y)) <= 1e-6 * (1.0 + x * x + y * y)):
+            if (abs(conic_value(c1, x, y)) <= 1e-6 * (1.0 + x * x + y * y)
+                    and abs(conic_value(c2, x, y)) <= 1e-6 * (1.0 + x * x + y * y)):
                 pts.append((x, y))
         # vertical-line components (both conics independent of y at some x)
         if _depth == 0 and not pts:

@@ -59,6 +59,11 @@ def cmp(a, b, tol=DEFAULT_TOL):
     return Ordering.LESS if a < b else Ordering.GREATER
 
 
+def within(dist, eps, tol=DEFAULT_TOL):
+    """Closed predicate: dist <= eps, with tolerance-equal counted inside."""
+    return cmp(dist, eps, tol) != Ordering.GREATER
+
+
 def bisect_threshold(pred, lo, hi, tol=DEFAULT_TOL):
     """Bisect [lo, hi] for the flip of a monotone predicate that is true at hi,
     until the bracket is no wider than the tolerance at its scale; returns the

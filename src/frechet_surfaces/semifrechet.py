@@ -414,9 +414,15 @@ def semi_compute_stream(f, g, budget, tol=DEFAULT_TOL):
     """Monotone decreasing stream of Fréchet upper bounds.
 
     Yields (value, m, n, candidate_index) whenever a valid candidate strictly
-    lowers the running minimum."""
+    lowers the running minimum.  A pair (m, n) is skipped before any work
+    when the boundary edge counts rule out every valid candidate: the chains
+    of K^m's nb_k boundary edges, 1 to max_chain_len edges each, cover L^n's
+    nb_l boundary edges once, so nb_k <= nb_l <= max_chain_len * nb_k; and
+    each subdivision level doubles a surface's boundary edge count."""
     t_start = time.monotonic()
     best = math.inf
+    nb_f = Topology(f.param).n_boundary_edges
+    nb_g = Topology(g.param).n_boundary_edges
     # (input surface, level) -> subdivision; f and g share entries when equal
     subs = {}
 
@@ -434,6 +440,9 @@ def semi_compute_stream(f, g, budget, tol=DEFAULT_TOL):
     for (m, n) in pair_sequence(budget):
         if out_of_time():
             return
+        nb_k = nb_f * 2 ** m
+        if not nb_k <= nb_g * 2 ** n <= budget.max_chain_len * nb_k:
+            continue
         fs = sub(f, m)
         gs = sub(g, n)
         topo_k = Topology(fs.param)

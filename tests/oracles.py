@@ -8,8 +8,13 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from frechet_surfaces.geometry import dist_points_triangle
+from frechet_surfaces.batched import batch_dist_point_triangle
 from frechet_surfaces.surface import lipschitz_constant
+
+
+def points_triangle_dist(points, tri):
+    """Distances from the rows of an (n, d) array of points to a triangle."""
+    return batch_dist_point_triangle(tuple(np.asarray(points, dtype=float).T), tri)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +189,7 @@ def mc_triangle_covered(f, g, k_tri, partners, eps, n=10_000, rng=None):
     pts = sample_triangle(tri, n, rng=rng)
     best = None
     for l in partners:
-        d = dist_points_triangle(pts, g.image_triangle(l))
+        d = points_triangle_dist(pts, g.image_triangle(l))
         best = d if best is None else np.minimum(best, d)
     if best is None:
         return False, 0.0

@@ -84,8 +84,7 @@ def test_component_missing_triangle_not_extensive():
 
 
 def test_component_extensive_vs_projection_oracle(rng):
-    from frechet_surfaces.geometry import dist_points_triangle
-    from .oracles import sample_triangle
+    from .oracles import points_triangle_dist, sample_triangle
     done = 0
     tries = 0
     while done < 10 and tries < 60:
@@ -113,7 +112,7 @@ def test_component_extensive_vs_projection_oracle(rng):
                     continue
                 best = None
                 for l in ls:
-                    d = dist_points_triangle(pts, surfB.image_triangle(l))
+                    d = points_triangle_dist(pts, surfB.image_triangle(l))
                     best = d if best is None else np.minimum(best, d)
                 if np.abs(best - eps).min() <= 1e-6:
                     margin_ok = False

@@ -14,6 +14,7 @@ from frechet_surfaces.surface import ParamTriangulation, Surface
 from frechet_surfaces import validate
 from .conftest import flat_surface, random_surface_pair, random_triangle, \
     translate_surface
+from .oracles import points_triangle_dist
 from .test_decision import _count_calls
 
 
@@ -69,9 +70,8 @@ def scan_t2b(seg, tri_a, tri_b, n=100_000):
     b = np.asarray(seg[1], dtype=float)
     ts = np.linspace(0.0, 1.0, n)
     pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-    from frechet_surfaces.geometry import dist_points_triangle
-    da = dist_points_triangle(pts, tri_a)
-    db = dist_points_triangle(pts, tri_b)
+    da = points_triangle_dist(pts, tri_a)
+    db = points_triangle_dist(pts, tri_b)
     diff = da - db
 
     def eval_at(t):
@@ -187,7 +187,6 @@ def test_t2c_no_equidistant_point():
 
 def scan_t2c(frame, tri2d, tris, res=500):
     """2D grid scan minimizing the max pairwise distance deviation."""
-    from frechet_surfaces.geometry import dist_points_triangle
     xs = np.linspace(min(p[0] for p in tri2d), max(p[0] for p in tri2d), res)
     ys = np.linspace(min(p[1] for p in tri2d), max(p[1] for p in tri2d), res)
     X, Y = np.meshgrid(xs, ys)
@@ -202,7 +201,7 @@ def scan_t2c(frame, tri2d, tris, res=500):
     mask = np.array([inside(p) for p in P2])
     P2 = P2[mask]
     P3 = np.array([frame.from_plane(p) for p in P2])
-    ds = [dist_points_triangle(P3, t) for t in tris]
+    ds = [points_triangle_dist(P3, t) for t in tris]
     D = np.stack(ds, axis=1)
     dev = D.max(axis=1) - D.min(axis=1)
     i = int(np.argmin(dev))

@@ -6,10 +6,8 @@ import pytest
 from frechet_surfaces import (DEFAULT_TOL, CurvePairGeometry, PolyCurve,
                               Tolerance, curve_compute, curve_decide_frechet,
                               curve_decide_weak, discrete_frechet)
-from frechet_surfaces.curves import (_free_intervals, _projection_interval,
-                                     _projection_pieces, curve_freespace_svg,
-                                     point_segment_free_interval,
-                                     segment_segment_projection_interval)
+from frechet_surfaces.curves import (_free_intervals, _projection_pieces,
+                                     curve_freespace_svg)
 from frechet_surfaces.geometry import closest_segment_segment
 from .conftest import random_polycurve
 from .oracles import rasterized_curve_decide
@@ -226,22 +224,12 @@ def test_geometry_tables_equal_scalar_routines(rng):
         for eps in EPS_PROBES:
             for i in range(n + 1):
                 for j in range(m):
-                    seg = g.segment(j)
-                    iv = point_segment_free_interval(f.vertices[i], seg, eps)
-                    assert iv == _plain_free_interval(f.vertices[i], seg, eps)
-                    assert _entry(geo.left, eps, i, j) == iv
+                    assert _entry(geo.left, eps, i, j) == \
+                        _plain_free_interval(f.vertices[i], g.segment(j), eps)
             for i in range(n):
                 for j in range(m + 1):
-                    seg = f.segment(i)
-                    iv = point_segment_free_interval(g.vertices[j], seg, eps)
-                    assert iv == _plain_free_interval(g.vertices[j], seg, eps)
-                    assert _entry(geo.bottom, eps, i, j) == iv
-            for i in range(n):
-                for j in range(m):
-                    assert _projection_interval(geo.f_pieces[i][j], eps) == \
-                        segment_segment_projection_interval(f.segment(i), g.segment(j), eps)
-                    assert _projection_interval(geo.g_pieces[j][i], eps) == \
-                        segment_segment_projection_interval(g.segment(j), f.segment(i), eps)
+                    assert _entry(geo.bottom, eps, i, j) == \
+                        _plain_free_interval(g.vertices[j], f.segment(i), eps)
 
 
 def test_shared_geometry_decides_like_a_fresh_one(rng):

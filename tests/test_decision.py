@@ -8,6 +8,8 @@ from frechet_surfaces import (ValidationError, compute, decide,
                               hausdorff_sampled)
 from frechet_surfaces import coverage, freespace
 from frechet_surfaces.decision import MODE_BISECT, MODE_EXACT
+from frechet_surfaces.geometry import dist_point_triangle
+from frechet_surfaces.surface import sample_image_points
 from .conftest import (bumped_grid_surface, flat_surface, random_surface,
                        random_surface_pair, translate_surface,
                        two_triangle_square)
@@ -155,6 +157,17 @@ def test_hausdorff_brackets_denser_sampling(rng):
     lo2, up2 = hausdorff_sampled(f, g, 0.01)
     # denser estimate sits inside the coarser bracket
     assert lo1 - 1e-12 <= lo2 <= up1 + 1e-12
+
+
+def test_hausdorff_lower_is_the_scalar_sample_maximum(rng):
+    for d in (3, 3, 2):
+        f, g = random_surface_pair(rng, d=d, tri_range=(4, 6))
+        for density in (0.2, 0.07):
+            expected = max(
+                min(dist_point_triangle(p, tri) for tri in b.image_triangles())
+                for a, b in ((f, g), (g, f))
+                for p in sample_image_points(a, density).tolist())
+            assert hausdorff_sampled(f, g, density)[0] == expected
 
 
 def test_planar_instance_both_modes():

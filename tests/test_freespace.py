@@ -1,7 +1,6 @@
 import pytest
 
-from frechet_surfaces import (PairGeometry, boundary_cell_nonempty, build_graph,
-                              cell_nonempty, components, dist_point_triangle,
+from frechet_surfaces import (PairGeometry, build_graph, dist_point_triangle,
                               dist_segment_triangle, dist_triangle_triangle)
 from .conftest import flat_surface, random_surface_pair, translate_surface
 from .oracles import bfs_components
@@ -12,7 +11,7 @@ def test_identical_surfaces_large_eps():
     g = flat_surface()
     graph = build_graph(f, g, 10.0)
     assert len(graph.vertices) == 4  # all 2x2 cells
-    assert len(components(graph)) == 1
+    assert len(graph.components()) == 1
 
 
 def test_eps_below_min_distance_is_empty():
@@ -20,16 +19,18 @@ def test_eps_below_min_distance_is_empty():
     g = translate_surface(f, (0.0, 0.0, 1.0))
     graph = build_graph(f, g, 0.5)
     assert graph.vertices == []
-    assert components(graph) == []
+    assert graph.components() == []
 
 
 def test_diagonal_cells_at_zero():
     f = flat_surface()
-    assert cell_nonempty(f, f, (0, 0), 0.0)
-    assert cell_nonempty(f, f, (1, 1), 0.0)
-    assert boundary_cell_nonempty(f, f, ("k_edge", (0, 2), 0), 0.0)
     graph = build_graph(f, f, 0.0)
-    assert len(components(graph)) == 1
+    assert (0, 0) in graph.vertices
+    assert (1, 1) in graph.vertices
+    # f's parameter edge (0, 2) against g's triangle 0: cells (0, 0) and
+    # (1, 0) are adjacent through it
+    assert ((0, 0), (1, 0)) in graph.edges
+    assert len(graph.components()) == 1
 
 
 def test_subgraph_monotonicity(rng):
@@ -66,7 +67,7 @@ def test_components_match_bfs_oracle(rng):
         f, g = random_surface_pair(rng, tri_range=(4, 7))
         eps = float(rng.uniform(0.1, 0.8))
         graph = build_graph(f, g, eps)
-        mine = sorted(tuple(c) for c in components(graph))
+        mine = sorted(tuple(c) for c in graph.components())
         oracle = sorted(tuple(c) for c in bfs_components(graph.vertices, graph.edges))
         assert mine == oracle
 
@@ -75,10 +76,11 @@ def test_cell_nonempty_vs_distance_oracle(rng):
     from .oracles import sampled_triangle_triangle
     f, g = random_surface_pair(rng, tri_range=(4, 5))
     eps = 0.4
+    cells = set(build_graph(f, g, eps).vertices)
     for k in range(f.n_triangles):
         for l in range(g.n_triangles):
             d = sampled_triangle_triangle(f.image_triangle(k), g.image_triangle(l))
-            mine = cell_nonempty(f, g, (k, l), eps)
+            mine = (k, l) in cells
             if abs(d - eps) > 1e-3:
                 assert mine == (d <= eps)
 
@@ -132,7 +134,7 @@ def test_shared_geometry_graph_equals_fresh(rng):
             fresh = build_graph(f, g, eps)
             assert shared.vertices == fresh.vertices
             assert shared.edges == fresh.edges
-            assert components(shared) == components(fresh)
+            assert shared.components() == fresh.components()
             assert shared.adjacency_text() == fresh.adjacency_text()
 
 

@@ -19,7 +19,7 @@ from frechet_surfaces.geometry import (GeometryError, OverlappingArcsError,
                                        closest_point_segment,
                                        closest_point_triangle,
                                        closest_segment_segment,
-                                       dist_point_triangle, dist_points_triangle,
+                                       conic_value, dist_point_triangle,
                                        dist_segment_triangle,
                                        dist_triangle_triangle,
                                        eps_neighborhood_plane_boundary,
@@ -123,15 +123,6 @@ def test_distance_symmetry_and_translation(rng):
         moved = dist_triangle_triangle(t1, t2v)
         base = dist_triangle_triangle(t1, t2)
         assert abs(moved - base) <= float(np.linalg.norm(v)) + 1e-9
-
-
-def test_batch_matches_scalar(rng):
-    from .conftest import random_triangle
-    tri = random_triangle(rng)
-    pts = rng.uniform(-1.5, 1.5, size=(200, 3))
-    batch = dist_points_triangle(pts, tri)
-    for p, d in zip(pts, batch):
-        assert abs(d - dist_point_triangle(tuple(p), tri)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +422,7 @@ def test_arc_residuals(rng):
             # every arc point sits at distance eps from the triangle
             d = dist_point_triangle(frame.from_plane(p), tri)
             assert abs(d - 0.5) < 1e-7
-            assert abs(arc.implicit_residual(p)) < 1e-7
+            assert abs(conic_value(arc.coeffs, *p)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +479,13 @@ def test_random_arc_intersections_vs_sampling(rng):
                 continue
             # every reported point lies on both arcs
             for p in pts:
-                assert abs(a.implicit_residual(p)) < 1e-6
-                assert abs(b.implicit_residual(p)) < 1e-6
+                assert abs(conic_value(a.coeffs, *p)) < 1e-6
+                assert abs(conic_value(b.coeffs, *p)) < 1e-6
                 assert a.param_of_point(p) is not None
                 assert b.param_of_point(p) is not None
             # sampled sign-change count never exceeds reported intersections
             samples = a.sample(400)
-            signs = [b.implicit_residual(p) for p in samples]
+            signs = [conic_value(b.coeffs, *p) for p in samples]
             flips = sum(1 for u, v in zip(signs, signs[1:])
                         if (u < 0) != (v < 0))
             inside = sum(1 for p0 in samples

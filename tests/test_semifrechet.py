@@ -10,7 +10,8 @@ from frechet_surfaces import (Budget, Topology, compute, enumerate_candidates,
 from frechet_surfaces.semifrechet import (InvalidCandidateError,
                                           MeshHomeoCandidate,
                                           identity_candidate, pair_sequence)
-from .conftest import flat_surface, random_surface, translate_surface
+from .conftest import (flat_surface, grid_triangulation, random_surface,
+                       translate_surface)
 
 
 def topo_of(surface):
@@ -421,11 +422,53 @@ def test_stream_of_a_surface_against_itself_subdivides_each_level_once(
         return orig(surface, m)
 
     monkeypatch.setattr(semifrechet, "subdivide_times", counting)
-    budget = Budget(max_pairs=10, max_candidates_per_pair=1, max_chain_len=1)
-    assert max(max(m, n) for m, n in pair_sequence(budget)) == 3
+    budget = Budget(max_pairs=25, max_candidates_per_pair=1, max_chain_len=1)
+    assert max(max(m, n) for m, n in pair_sequence(budget)) == 6
     list(semi_compute_stream(f, f, budget))
-    # levels 1, 2 and 3, each from the level below (2, 12, 72 triangles)
+    # levels 1, 2 and 3, each from the level below (2, 12, 72 triangles); with
+    # chains of one edge only the pairs (m, m) can yield, so no level above 3
+    # is built
     assert calls == [(2, 1), (12, 1), (72, 1)]
+
+
+def test_boundary_edge_count_doubles_per_level(rng):
+    for f in (flat_surface(), flat_surface(grid_triangulation(1, 2)),
+              random_surface(rng, tri_range=(4, 6))):
+        nb = Topology(f.param).n_boundary_edges
+        sub = f
+        for m in range(1, 4):
+            sub = subdivide_times(sub, 1)
+            assert Topology(sub.param).n_boundary_edges == nb * 2 ** m
+
+
+def test_stream_skips_only_pairs_without_valid_candidates(monkeypatch):
+    """Every (m, n) pair that the stream does not search has no valid
+    candidate under the same budget."""
+    f = flat_surface()                              # 4 boundary edges
+    g = flat_surface(grid_triangulation(1, 2))      # 6 boundary edges
+    orig = semifrechet.enumerate_candidates
+    n_searched = 0
+    for chain_len in (1, 2):
+        budget = Budget(max_pairs=6, max_candidates_per_pair=64,
+                        max_chain_len=chain_len, max_steps_per_pair=2000)
+        searched = []
+
+        def recording(topo_k, topo_l, budget, m=0, n=0, **kwargs):
+            searched.append((m, n))
+            return orig(topo_k, topo_l, budget, m=m, n=n, **kwargs)
+
+        monkeypatch.setattr(semifrechet, "enumerate_candidates", recording)
+        list(semi_compute_stream(f, g, budget))
+        monkeypatch.undo()
+        skipped = [pair for pair in pair_sequence(budget) if pair not in searched]
+        assert skipped
+        n_searched += len(searched)
+        for m, n in skipped:
+            topo_k = topo_of(subdivide_times(f, m))
+            topo_l = topo_of(subdivide_times(g, n))
+            for cand in enumerate_candidates(topo_k, topo_l, budget, m=m, n=n):
+                assert not is_valid_mesh_homeo(cand, topo_k, topo_l)
+    assert n_searched > 0
 
 
 def values_mnk(stream_list):

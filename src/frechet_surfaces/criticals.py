@@ -17,11 +17,12 @@ import numpy as np
 
 from .scalar import DEFAULT_TOL, DegeneratePolynomialError, quadratic_roots
 from .freespace import PairGeometry
-from .geometry import (closest_point_segment, closest_point_triangle,
-                       conic_value, cross_norm, dist_point_triangle,
-                       closest_segment_segment, frame_of_triangle,
-                       perp_component, vcross3, vdist, vdot, vnorm, vscale,
-                       vsub)
+from .geometry import (FEATURES, closest_point_segment, closest_point_triangle,
+                       closest_segment_segment, conic_value, conic_y_resultant,
+                       cross_norm, dist_point_triangle, feature_sqdist_conic,
+                       frame_of_triangle, line_sqdist_quadratic,
+                       perp_component, point_sqdist_quadratic,
+                       triangle_unit_normal, vdist, vdot, vsub, vunit)
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,6 @@ class CriticalValue:
     def as_dict(self):
         return {"value": self.value, "kind": self.kind,
                 "provenance": list(self.provenance)}
-
-
-def _unit(v):
-    n = vnorm(v)
-    return vscale(v, 1.0 / n) if n > 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +65,7 @@ def _region_breakpoints_on_segment(seg, tri):
     for i in range(3):
         a, b = tri[i], tri[(i + 1) % 3]
         c = tri[(i + 2) % 3]
-        u = _unit(vsub(b, a))
+        u = vunit(vsub(b, a))
         w = perp_component(vsub(c, a), u)
         add_plane(w, -vdot(a, w))
     return ts
@@ -82,22 +78,13 @@ def _feature_sqdist_quadratic(seg, tri, feature):
     d = vsub(s1, s0)
     kind, idx = feature
     if kind == "vertex":
-        w0 = vsub(s0, tri[idx])
-        return (vdot(d, d), 2.0 * vdot(w0, d), vdot(w0, w0))
+        return point_sqdist_quadratic(s0, d, tri[idx])
     if kind == "edge":
         a = tri[idx]
-        b = tri[(idx + 1) % 3]
-        u = _unit(vsub(b, a))
-        w0 = vsub(s0, a)
-        du = vdot(d, u)
-        wu = vdot(w0, u)
-        return (vdot(d, d) - du * du,
-                2.0 * (vdot(w0, d) - wu * du),
-                vdot(w0, w0) - wu * wu)
-    # face
-    if len(s0) == 2:
+        return line_sqdist_quadratic(s0, d, a, vunit(vsub(tri[(idx + 1) % 3], a)))
+    n = triangle_unit_normal(tri)
+    if n is None:
         return (0.0, 0.0, 0.0)  # inside a 2D triangle the distance is zero
-    n = _unit(vcross3(vsub(tri[1], tri[0]), vsub(tri[2], tri[0])))
     lam0 = vdot(n, vsub(s0, tri[0]))
     lamd = vdot(n, d)
     return (lamd * lamd, 2.0 * lam0 * lamd, lam0 * lam0)
@@ -108,7 +95,7 @@ def segment_features(seg, tri):
     segment, whatever the other triangle: the parameters where its nearest
     feature can switch, and the squared-distance quadratic of each feature."""
     return (_region_breakpoints_on_segment(seg, tri),
-            {feat: _feature_sqdist_quadratic(seg, tri, feat) for feat in _FEATURES})
+            {feat: _feature_sqdist_quadratic(seg, tri, feat) for feat in FEATURES})
 
 
 def equidistance_values_on_segment(seg, tri_a, tri_b, tol=DEFAULT_TOL,
@@ -160,12 +147,6 @@ def equidistance_values_on_segment(seg, tri_a, tri_b, tol=DEFAULT_TOL,
 # T2d: parallel feature pairs
 # ---------------------------------------------------------------------------
 
-def _triangle_normal(tri):
-    if len(tri[0]) == 2:
-        return None
-    return _unit(vcross3(vsub(tri[1], tri[0]), vsub(tri[2], tri[0])))
-
-
 def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
     """Distances between parallel (edge|triangle) image feature pairs.  Edge
     and triangle distances are read from the pair's PairGeometry."""
@@ -178,30 +159,30 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
     zero = lambda x: x <= 1e-9
 
     for (ek, sk) in f_edges:
-        uk = _unit(vsub(sk[1], sk[0]))
+        uk = vunit(vsub(sk[1], sk[0]))
         for (el, sl) in g_edges:
-            ul = _unit(vsub(sl[1], sl[0]))
+            ul = vunit(vsub(sl[1], sl[0]))
             if zero(cross_norm(uk, ul)):
                 d, _, _ = closest_segment_segment(sk[0], sk[1], sl[0], sl[1])
                 out.append(CriticalValue(d, "T2d", ("K-edge", ek, "L-edge", el)))
         for (lt, tl) in g_tris:
-            nl = _triangle_normal(tl)
+            nl = triangle_unit_normal(tl)
             if nl is not None and zero(abs(vdot(uk, nl))):
                 out.append(CriticalValue(
                     geometry.f_edge_dist[ek][lt], "T2d",
                     ("K-edge", ek, "L-tri", lt)))
     for (el, sl) in g_edges:
-        ul = _unit(vsub(sl[1], sl[0]))
+        ul = vunit(vsub(sl[1], sl[0]))
         for (kt, tk) in f_tris:
-            nk = _triangle_normal(tk)
+            nk = triangle_unit_normal(tk)
             if nk is not None and zero(abs(vdot(ul, nk))):
                 out.append(CriticalValue(
                     geometry.g_edge_dist[el][kt], "T2d",
                     ("L-edge", el, "K-tri", kt)))
     for (kt, tk) in f_tris:
-        nk = _triangle_normal(tk)
+        nk = triangle_unit_normal(tk)
         for (lt, tl) in g_tris:
-            nl = _triangle_normal(tl)
+            nl = triangle_unit_normal(tl)
             if nk is not None and nl is not None and zero(cross_norm(nk, nl)):
                 out.append(CriticalValue(
                     geometry.cell_dist[kt][lt], "T2d",
@@ -271,42 +252,6 @@ def dedup_critical_values(vals, tol=DEFAULT_TOL):
 # T2c: triple equidistance in the plane of an image triangle
 # ---------------------------------------------------------------------------
 
-_FEATURES = [("vertex", 0), ("vertex", 1), ("vertex", 2),
-             ("edge", 0), ("edge", 1), ("edge", 2), ("face", 0)]
-
-
-def _feature_sqdist_conic(frame, tri, feature):
-    """Implicit conic coefficients (A,B,C,D,E,F) of the squared distance to a
-    triangle feature as a function of plane coordinates, or None when the
-    feature does not define one (2D face)."""
-    kind, idx = feature
-    g1, g2 = frame.b1, frame.b2
-    o = frame.origin
-    if kind == "vertex":
-        r = vsub(o, tri[idx])
-        return (1.0, 0.0, 1.0,
-                2.0 * vdot(r, g1), 2.0 * vdot(r, g2), vdot(r, r))
-    if kind == "edge":
-        a = tri[idx]
-        b = tri[(idx + 1) % 3]
-        u = _unit(vsub(b, a))
-        r = vsub(o, a)
-        u1, u2 = vdot(g1, u), vdot(g2, u)
-        ru = vdot(r, u)
-        return (1.0 - u1 * u1, -2.0 * u1 * u2, 1.0 - u2 * u2,
-                2.0 * (vdot(r, g1) - ru * u1), 2.0 * (vdot(r, g2) - ru * u2),
-                vdot(r, r) - ru * ru)
-    # face
-    if len(tri[0]) == 2:
-        return None
-    n = _unit(vcross3(vsub(tri[1], tri[0]), vsub(tri[2], tri[0])))
-    alpha = vdot(n, g1)
-    beta = vdot(n, g2)
-    gamma = vdot(n, vsub(o, tri[0]))
-    return (alpha * alpha, 2.0 * alpha * beta, beta * beta,
-            2.0 * alpha * gamma, 2.0 * beta * gamma, gamma * gamma)
-
-
 def _is_nearest_feature(p, xy, tri, feature, conic, dist, slack):
     """Whether `feature` of `tri` is nearest to p (plane coordinates xy),
     whose triangle distance is `dist`: the distance to the feature's affine
@@ -346,36 +291,6 @@ def _point_in_triangle_2d(p, tri2d, slack):
         if area2(a, b, p) * (1.0 if s > 0 else -1.0) < -slack:
             return False
     return True
-
-
-def _resultant_coeffs(C1, C2):
-    """Quartic coefficients of the y-resultant of conic pairs, vectorized.
-
-    C1, C2 are (N, 6) rows (A, B, C, D, E, F).  Valid whenever at least one
-    of each pair's y^2 coefficients is nonzero; the all-linear case needs the
-    cubic b1*c2 - b2*c1 instead (also returned)."""
-    A1, B1, Cc1, D1, E1, F1 = (C1[:, i] for i in range(6))
-    A2, B2, Cc2, D2, E2, F2 = (C2[:, i] for i in range(6))
-    # t = a1*c2(x) - a2*c1(x), degree 2
-    p0 = Cc1 * F2 - Cc2 * F1
-    p1 = Cc1 * D2 - Cc2 * D1
-    p2 = Cc1 * A2 - Cc2 * A1
-    # u = a1*b2(x) - a2*b1(x), degree 1
-    q0 = Cc1 * E2 - Cc2 * E1
-    q1 = Cc1 * B2 - Cc2 * B1
-    # v = b1*c2(x) - b2*c1(x), degree 3
-    v0 = E1 * F2 - E2 * F1
-    v1 = E1 * D2 + B1 * F2 - (E2 * D1 + B2 * F1)
-    v2 = E1 * A2 + B1 * D2 - (E2 * A1 + B2 * D1)
-    v3 = B1 * A2 - B2 * A1
-    res = np.empty((C1.shape[0], 5))
-    res[:, 0] = p0 * p0 - q0 * v0
-    res[:, 1] = 2 * p0 * p1 - (q0 * v1 + q1 * v0)
-    res[:, 2] = p1 * p1 + 2 * p0 * p2 - (q0 * v2 + q1 * v1)
-    res[:, 3] = 2 * p1 * p2 - (q0 * v3 + q1 * v2)
-    res[:, 4] = p2 * p2 - q1 * v3
-    cubic = np.stack([v0, v1, v2, v3], axis=1)
-    return res, cubic
 
 
 def _batched_poly_roots(coeffs, xlo, xhi):
@@ -449,8 +364,8 @@ def _y_on_conic(c, x, tol):
 
 def _feature_ranges(geometry, q_on_f, q, i):
     """Range (lb, ub) of the distance from the points of image triangle q to
-    each of the seven _FEATURES of image triangle i of the other surface, in
-    _FEATURES order.  q is a triangle of f and i one of g when `q_on_f`, and
+    each of the seven FEATURES of image triangle i of the other surface, in
+    FEATURES order.  q is a triangle of f and i one of g when `q_on_f`, and
     the other way round otherwise.
 
     lb is the distance of the whole triangle q to the feature, read from
@@ -508,7 +423,7 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
     slack = 1e-7 * scale
     pad = 1e-4 * scale
 
-    n_feat = len(_FEATURES)
+    n_feat = len(FEATURES)
     n_others = len(others)
     rng_arr = np.array(ranges, dtype=float)
     lb_arr = rng_arr[:, :, 0]
@@ -517,10 +432,10 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
     conic_arr = np.full((n_others, n_feat, 6), np.nan)
     box_arr = np.full((n_others, n_feat, 4), np.nan)
     for a, (oi, tri) in enumerate(others):
-        for fi, feat in enumerate(_FEATURES):
+        for fi, feat in enumerate(FEATURES):
             if not live[a, fi]:
                 continue
-            c = _feature_sqdist_conic(frame, tri, feat)
+            c = feature_sqdist_conic(frame, tri, feat)
             if c is None:
                 continue
             conic_arr[a, fi] = c
@@ -570,7 +485,9 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
         ylo = blo_y[keep] - slack
         yhi = bhi_y[keep] + slack
 
-        res, cubic = _resultant_coeffs(C1, C2)
+        quartic, cubic = conic_y_resultant(C1.T, C2.T)
+        res = np.stack(quartic, axis=1)
+        cubic = np.stack(cubic, axis=1)
         both_linear = (np.abs(C1[:, 2]) <= 1e-12) & (np.abs(C2[:, 2]) <= 1e-12)
         polys = np.where(both_linear[:, None],
                          np.hstack([cubic, np.zeros((len(cubic), 1))]), res)
@@ -609,7 +526,7 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
                 src = kept[row]
                 feats = ((tri_i, ia, fi_g[src], di), (tri_j, ib, fj_g[src], dj),
                          (tri_k, ic, fk_g[src], dk))
-                if not all(_is_nearest_feature(p3, (x, y), tri, _FEATURES[fa],
+                if not all(_is_nearest_feature(p3, (x, y), tri, FEATURES[fa],
                                                conic_arr[a, fa], d, slack_d)
                            for tri, a, fa, d in feats):
                     continue

@@ -14,7 +14,8 @@ import numpy as np
 
 from .batched import batch_closest_segment_segment
 from .scalar import DEFAULT_TOL, bisect_threshold
-from .geometry import closest_point_segment, vdist, vdot, vlerp, vsub
+from .geometry import (closest_point_segment, line_sqdist_quadratic,
+                       point_sqdist_quadratic, vdist, vdot, vlerp, vsub)
 from .freespace import UnionFind
 
 
@@ -61,18 +62,10 @@ def require_same_dimension(f, g):
                          f"and {len(g.vertices[0])}-D")
 
 
-def _point_segment_coefficients(p, seg):
-    """(A, B, W) with |p - seg(t)|^2 = A t^2 + B t + W."""
-    a, b = seg
-    d = vsub(b, a)
-    w = vsub(a, p)
-    return vdot(d, d), 2.0 * vdot(w, d), vdot(w, w)
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _free_intervals(A, B, W, eps):
     """{t in [0,1] : |p - seg(t)| <= eps} for arrays of the coefficients
-    (A, B, W) of _point_segment_coefficients, as (lo, hi, free); lo and hi
+    (A, B, W) of |p - seg(t)|^2 = A t^2 + B t + W, as (lo, hi, free); lo and hi
     are meaningless where free is False.  Each
     operation is the one plain float arithmetic does, in the same order, and
     max(lo, 0.0) and min(hi, 1.0) keep their first argument unless the second
@@ -121,20 +114,12 @@ def _projection_pieces(seg_f, seg_g):
         if uu == 0.0 or tq <= 0.0 or tq >= 1.0:
             # nearest feature is an endpoint of seg_g on this piece
             q = c if (uu == 0.0 or tq <= 0.0) else d
-            w = vsub(a, q)
-            A = vdot(dv, dv)
-            B = 2.0 * vdot(w, dv)
-            C0 = vdot(w, w)
+            pieces.append((sa, sb) + point_sqdist_quadratic(a, dv, q))
         else:
-            # interior projection: squared distance is the perp component
-            w = vsub(a, c)
+            # interior projection: the distance to seg_g's line; x / sqrt(uu)
+            # rounds differently from geometry.vunit
             un = tuple(x / math.sqrt(uu) for x in u)
-            dvu = vdot(dv, un)
-            wu = vdot(w, un)
-            A = vdot(dv, dv) - dvu * dvu
-            B = 2.0 * (vdot(w, dv) - wu * dvu)
-            C0 = vdot(w, w) - wu * wu
-        pieces.append((sa, sb, A, B, C0))
+            pieces.append((sa, sb) + line_sqdist_quadratic(a, dv, c, un))
     return pieces
 
 
@@ -218,15 +203,17 @@ class CurvePairGeometry:
 
     @cached_property
     def left(self):
+        g = self.g.vertices
         return _coefficient_table(
-            [[_point_segment_coefficients(p, self.g.segment(j)) for j in range(self.m)]
-             for p in self.f.vertices])
+            [[point_sqdist_quadratic(g[j], vsub(g[j + 1], g[j]), p)
+              for j in range(self.m)] for p in self.f.vertices])
 
     @cached_property
     def bottom(self):
+        f = self.f.vertices
         return _coefficient_table(
-            [[_point_segment_coefficients(q, self.f.segment(i)) for q in self.g.vertices]
-             for i in range(self.n)])
+            [[point_sqdist_quadratic(f[i], vsub(f[i + 1], f[i]), q)
+              for q in self.g.vertices] for i in range(self.n)])
 
     @cached_property
     def f_pieces(self):
@@ -423,9 +410,13 @@ def discrete_frechet(f, g):
     return prev[m - 1]
 
 
-def curve_freespace_svg(f, g, eps, path, shade_res=14, tol=DEFAULT_TOL):
+# samples per cell side in curve_freespace_svg
+_SHADE_RES = 14
+
+
+def curve_freespace_svg(f, g, eps, path, tol=DEFAULT_TOL):
     """Shade the free-space diagram of two curves: one n x m grid of cells,
-    sub-sampled shade_res^2 per cell, free samples drawn white on grey."""
+    sub-sampled _SHADE_RES^2 per cell, free samples drawn white on grey."""
     require_same_dimension(f, g)
     n = f.n_segments
     m = g.n_segments
@@ -435,16 +426,16 @@ def curve_freespace_svg(f, g, eps, path, shade_res=14, tol=DEFAULT_TOL):
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              f'<svg xmlns="http://www.w3.org/2000/svg" width="{w + 2}" height="{h + 2}">',
              f'<rect x="0" y="0" width="{w}" height="{h}" fill="#888"/>']
-    sub = cell / shade_res
+    sub = cell / _SHADE_RES
     for i in range(n):
         a, b = f.segment(i)
         for j in range(m):
             c, d = g.segment(j)
-            for si in range(shade_res):
-                s = (si + 0.5) / shade_res
+            for si in range(_SHADE_RES):
+                s = (si + 0.5) / _SHADE_RES
                 p = vlerp(a, b, s)
-                for sj in range(shade_res):
-                    t = (sj + 0.5) / shade_res
+                for sj in range(_SHADE_RES):
+                    t = (sj + 0.5) / _SHADE_RES
                     q = vlerp(c, d, t)
                     if vdist(p, q) <= eps:
                         x = i * cell + si * sub

@@ -23,26 +23,49 @@ class FormatError(ValueError):
 
 
 def _coordinate(value, where):
+    # a JSON true/false would pass float() as 1.0/0.0
+    if isinstance(value, bool):
+        raise FormatError(f"{where}: bad coordinate {value!r}")
     try:
         return parse_coordinate(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"{where}: bad coordinate {value!r}") from exc
 
 
-def surface_from_dict(doc):
-    try:
-        dim = int(doc["dimension"])
-        raw_pv = doc["param_vertices"]
-        raw_tris = doc["triangles"]
-        raw_iv = doc["image_vertices"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"surface document missing field: {exc}") from exc
+def _integer(value, where):
+    """A JSON integer; int() would truncate 2.5 and parse "2"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, where):
+    if not isinstance(value, list):
+        raise FormatError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _dimension(doc):
+    dim = _integer(doc["dimension"], "dimension")
     if dim not in (2, 3):
         raise FormatError(f"dimension must be 2 or 3, got {dim}")
+    return dim
+
+
+def surface_from_dict(doc):
+    try:
+        dim = _dimension(doc)
+        raw_pv = _list(doc["param_vertices"], "param_vertices")
+        raw_tris = _list(doc["triangles"], "triangles")
+        raw_iv = _list(doc["image_vertices"], "image_vertices")
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"surface document missing field: {exc}") from exc
+    if not raw_pv:
+        raise FormatError("param_vertices must not be empty")
     verts = []
     texts = []
     for i, v in enumerate(raw_pv):
-        if len(v) != 2:
+        if len(_list(v, f"param_vertices[{i}]")) != 2:
             raise FormatError(f"param_vertices[{i}] must have 2 coordinates")
         xy = []
         txt = []
@@ -54,12 +77,12 @@ def surface_from_dict(doc):
         texts.append(tuple(txt) if any(t is not None for t in txt) else None)
     tris = []
     for i, t in enumerate(raw_tris):
-        if len(t) != 3:
+        if len(_list(t, f"triangles[{i}]")) != 3:
             raise FormatError(f"triangles[{i}] must have 3 indices")
-        tris.append(tuple(int(x) for x in t))
+        tris.append(tuple(_integer(x, f"triangles[{i}]") for x in t))
     imgs = []
     for i, p in enumerate(raw_iv):
-        if len(p) != dim:
+        if len(_list(p, f"image_vertices[{i}]")) != dim:
             raise FormatError(f"image_vertices[{i}] must have {dim} coordinates")
         imgs.append(tuple(_coordinate(c, f"image_vertices[{i}]")[0] for c in p))
     if len(imgs) != len(verts):
@@ -95,15 +118,13 @@ def save_surface(surface, path):
 
 def curve_from_dict(doc):
     try:
-        dim = int(doc["dimension"])
-        raw = doc["vertices"]
+        dim = _dimension(doc)
+        raw = _list(doc["vertices"], "vertices")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"curve document missing field: {exc}") from exc
-    if dim not in (2, 3):
-        raise FormatError(f"dimension must be 2 or 3, got {dim}")
     verts = []
     for i, v in enumerate(raw):
-        if len(v) != dim:
+        if len(_list(v, f"vertices[{i}]")) != dim:
             raise FormatError(f"vertices[{i}] must have {dim} coordinates")
         verts.append(tuple(_coordinate(c, f"vertices[{i}]")[0] for c in v))
     try:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scalar import (DEFAULT_TOL, DegeneratePolynomialError, Tolerance,
-                     poly_add, poly_mul, poly_scale, poly_sub,
                      quadratic_roots, real_roots, within)
 
 TWO_PI = 2.0 * math.pi
@@ -60,6 +59,12 @@ def vlerp(a, b, t):
     return tuple(x + t * (y - x) for x, y in zip(a, b))
 
 
+def vunit(v):
+    """v scaled to unit length; a zero vector is returned unchanged."""
+    n = vnorm(v)
+    return vscale(v, 1.0 / n) if n > 0 else v
+
+
 def perp_component(v, unit_axis):
     """The part of v orthogonal to the unit vector unit_axis."""
     return vsub(v, vscale(unit_axis, vdot(v, unit_axis)))
@@ -69,6 +74,13 @@ def vcross3(a, b):
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
+
+
+def triangle_unit_normal(tri):
+    """Unit normal of a triangle in R^3, or None in R^2."""
+    if len(tri[0]) == 2:
+        return None
+    return vunit(vcross3(vsub(tri[1], tri[0]), vsub(tri[2], tri[0])))
 
 
 def cross_norm(a, b):
@@ -339,12 +351,71 @@ def frame_of_triangle(tri, tol=DEFAULT_TOL):
     check_triangle(tri, tol)
     if len(tri[0]) == 2:
         return Plane2Frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), tol)
-    e1 = vsub(tri[1], tri[0])
-    b1 = vscale(e1, 1.0 / vnorm(e1))
-    e2 = vsub(tri[2], tri[0])
-    e2p = vsub(e2, vscale(b1, vdot(e2, b1)))
-    b2 = vscale(e2p, 1.0 / vnorm(e2p))
+    b1 = vunit(vsub(tri[1], tri[0]))
+    b2 = vunit(perp_component(vsub(tri[2], tri[0]), b1))
     return Plane2Frame(tri[0], b1, b2, tol)
+
+
+# ---------------------------------------------------------------------------
+# Squared distances to a triangle's features
+# ---------------------------------------------------------------------------
+#
+# Along a line s0 + t*d the squared distance to a point or to a line is a
+# quadratic A t^2 + B t + C in t; in the plane of a frame the squared distance
+# to a vertex, an edge line or a face plane is a conic in the plane
+# coordinates.  A feature is ("vertex", i), ("edge", i) with edge i joining
+# vertices i and (i+1) % 3, or ("face", 0), as closest_point_triangle names
+# them.
+
+FEATURES = (("vertex", 0), ("vertex", 1), ("vertex", 2),
+            ("edge", 0), ("edge", 1), ("edge", 2), ("face", 0))
+
+
+def point_sqdist_quadratic(s0, d, q):
+    """(A, B, C) with |s0 + t*d - q|^2 = A t^2 + B t + C."""
+    w0 = vsub(s0, q)
+    return (vdot(d, d), 2.0 * vdot(w0, d), vdot(w0, w0))
+
+
+def line_sqdist_quadratic(s0, d, a, u):
+    """(A, B, C) with A t^2 + B t + C the squared distance of s0 + t*d from
+    the line through a with unit direction u."""
+    w0 = vsub(s0, a)
+    du = vdot(d, u)
+    wu = vdot(w0, u)
+    return (vdot(d, d) - du * du,
+            2.0 * (vdot(w0, d) - wu * du),
+            vdot(w0, w0) - wu * wu)
+
+
+def feature_sqdist_conic(frame, tri, feature):
+    """Implicit conic coefficients (A, B, C, D, E, F) of the squared distance
+    to a triangle feature as a function of the frame's plane coordinates, or
+    None when the feature does not define one (a face in R^2)."""
+    kind, idx = feature
+    g1, g2 = frame.b1, frame.b2
+    o = frame.origin
+    if kind == "vertex":
+        r = vsub(o, tri[idx])
+        return (1.0, 0.0, 1.0,
+                2.0 * vdot(r, g1), 2.0 * vdot(r, g2), vdot(r, r))
+    if kind == "edge":
+        a = tri[idx]
+        u = vunit(vsub(tri[(idx + 1) % 3], a))
+        r = vsub(o, a)
+        u1, u2 = vdot(g1, u), vdot(g2, u)
+        ru = vdot(r, u)
+        return (1.0 - u1 * u1, -2.0 * u1 * u2, 1.0 - u2 * u2,
+                2.0 * (vdot(r, g1) - ru * u1), 2.0 * (vdot(r, g2) - ru * u2),
+                vdot(r, r) - ru * ru)
+    n = triangle_unit_normal(tri)
+    if n is None:
+        return None
+    alpha = vdot(n, g1)
+    beta = vdot(n, g2)
+    gamma = vdot(n, vsub(o, tri[0]))
+    return (alpha * alpha, 2.0 * alpha * beta, beta * beta,
+            2.0 * alpha * gamma, 2.0 * beta * gamma, gamma * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +702,8 @@ class PlaneSlice:
     status: str = SLICE_BOUNDARY
 
 
-def _classify_restricted_quadric(frame, A2, b2, c0, source, scene_halfwidth,
-                                 halfplanes, tol):
+def _classify_restricted_quadric(A2, b2, c0, source, scene_halfwidth, halfplanes,
+                                 tol):
     """Zero set of a PSD quadratic on the plane, clipped by half-planes.
 
     A2 is the symmetric 2x2 quadratic part in plane coords, b2 the linear part,
@@ -754,11 +825,8 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
     scene = reach + triangle_scale(tri) + eps + 1.0
     arcs = []
 
-    def hp_in_plane(grad, val0):
-        # ambient affine functional (grad . p + val0 <= 0) restricted to plane
-        return frame.affine_in_plane(grad, val0)
-
-    # vertex features
+    # vertex features; each half-plane is an ambient affine functional
+    # grad . p + val0 <= 0 restricted to the plane
     for i in range(3):
         v = tri[i]
         h = frame.offset_of(v)
@@ -773,7 +841,7 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
                 continue
             w = tri[j]
             grad = vsub(w, v)  # (p - v) . (w - v) <= 0
-            hps.append(hp_in_plane(grad, -vdot(v, grad)))
+            hps.append(frame.affine_in_plane(grad, -vdot(v, grad)))
         ivals = clip_ellipse_by_halfplanes(cuv, rho, rho, 0.0, hps, tol)
         for (t0, t1) in ivals:
             arcs.append(make_circle_arc(cuv, rho, t0, t1, ("vertex", i)))
@@ -785,33 +853,27 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
         c = tri[(i + 2) % 3]
         axis = vsub(b, a)
         L = vnorm(axis)
-        u = vscale(axis, 1.0 / L)
-        # q(p) = |p - a|^2 - ((p-a).u)^2 - eps^2, restricted to the plane.
-        # p = o + w1*b1 + w2*b2 ; let r = o - a.
-        r = vsub(frame.origin, a)
-        g1, g2 = frame.b1, frame.b2
-        u1, u2 = vdot(g1, u), vdot(g2, u)
-        ru = vdot(r, u)
-        A2 = ((1.0 - u1 * u1, -u1 * u2), (-u1 * u2, 1.0 - u2 * u2))
-        b2v = (vdot(r, g1) - ru * u1, vdot(r, g2) - ru * u2)
-        c0 = vdot(r, r) - ru * ru - eps * eps
+        u = vunit(axis)
+        # squared distance to the edge line minus eps^2, as w^T A2 w +
+        # 2 b2 . w + c0 in plane coordinates w (halving B, D, E is exact)
+        A, B, C, D, E, F = feature_sqdist_conic(frame, tri, ("edge", i))
+        A2 = ((A, 0.5 * B), (0.5 * B, C))
+        b2v = (0.5 * D, 0.5 * E)
+        c0 = F - eps * eps
         # nearest-region: 0 <= (p-a).u*L <= L^2 and (p-a) . perp(c-a) <= 0
         hps = []
         grad = vsub(a, b)  # -(p - a).(b - a) <= 0
-        hps.append(hp_in_plane(grad, -vdot(a, grad)))
+        hps.append(frame.affine_in_plane(grad, -vdot(a, grad)))
         grad = vsub(b, a)  # (p - a).(b - a) - L^2 <= 0
-        hps.append(hp_in_plane(grad, -vdot(a, grad) - L * L))
+        hps.append(frame.affine_in_plane(grad, -vdot(a, grad) - L * L))
         wout = perp_component(vsub(c, a), u)
-        hps.append(hp_in_plane(wout, -vdot(a, wout)))
+        hps.append(frame.affine_in_plane(wout, -vdot(a, wout)))
         arcs.extend(_classify_restricted_quadric(
-            frame, A2, b2v, c0, ("edge", i), scene, hps, tol))
+            A2, b2v, c0, ("edge", i), scene, hps, tol))
 
     # face feature (two offset planes), d=3 only
     if d == 3:
-        e1 = vsub(tri[1], tri[0])
-        e2 = vsub(tri[2], tri[0])
-        n = vcross3(e1, e2)
-        n = vscale(n, 1.0 / vnorm(n))
+        n = triangle_unit_normal(tri)
         alpha, beta, gamma0 = frame.affine_in_plane(n, -vdot(tri[0], n))
         # lambda(u,v) = alpha*u + beta*v + gamma0 is the signed plane offset
         if math.hypot(alpha, beta) > tol.rel:
@@ -836,7 +898,7 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
                 # want grad.p + val0 >= 0  ->  -(grad.p + val0) <= 0
                 # (vs2 is CCW by construction of the triangle frame, so the
                 # interior has positive left-of values)
-                hps_proj.append(hp_in_plane(vscale(grad, -1.0), -val0))
+                hps_proj.append(frame.affine_in_plane(vscale(grad, -1.0), -val0))
             for sign in (1.0, -1.0):
                 line = (alpha, beta, gamma0 - sign * eps)
                 arcs.extend(_line_to_arcs(line, scene, hps_proj,
@@ -853,6 +915,36 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
 
 class OverlappingArcsError(GeometryError):
     pass
+
+
+def conic_y_resultant(c1, c2):
+    """The resultant in y of two conics (A, B, C, D, E, F), viewed as
+    quadratics a y^2 + b(x) y + c(x) with a = C, b = E + B x and
+    c = F + D x + A x^2: the quartic (p^2 - q v)(x) with p = a1 c2 - a2 c1,
+    q = a1 b2 - a2 b1 and v = b1 c2 - b2 c1, and the cubic v itself, which
+    the conics share as a root polynomial when both are linear in y.  Both
+    are returned lowest degree first.  The coefficients may be floats or
+    equal-length arrays, one entry per conic pair."""
+    A1, B1, Cc1, D1, E1, F1 = c1
+    A2, B2, Cc2, D2, E2, F2 = c2
+    # p = a1*c2(x) - a2*c1(x), degree 2
+    p0 = Cc1 * F2 - Cc2 * F1
+    p1 = Cc1 * D2 - Cc2 * D1
+    p2 = Cc1 * A2 - Cc2 * A1
+    # q = a1*b2(x) - a2*b1(x), degree 1
+    q0 = Cc1 * E2 - Cc2 * E1
+    q1 = Cc1 * B2 - Cc2 * B1
+    # v = b1*c2(x) - b2*c1(x), degree 3
+    v0 = E1 * F2 - E2 * F1
+    v1 = E1 * D2 + B1 * F2 - (E2 * D1 + B2 * F1)
+    v2 = E1 * A2 + B1 * D2 - (E2 * A1 + B2 * D1)
+    v3 = B1 * A2 - B2 * A1
+    quartic = (p0 * p0 - q0 * v0,
+               2 * p0 * p1 - (q0 * v1 + q1 * v0),
+               p1 * p1 + 2 * p0 * p2 - (q0 * v2 + q1 * v1),
+               2 * p1 * p2 - (q0 * v3 + q1 * v2),
+               p2 * p2 - q1 * v3)
+    return quartic, (v0, v1, v2, v3)
 
 
 def _conic_as_y_quadratic(coeffs):
@@ -886,10 +978,10 @@ def conics_identical(c1, c2, tol=DEFAULT_TOL):
 def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):
     """Intersection points of two implicit conics with x in [xlo, xhi].
 
-    Eliminates y via the resultant of the two polynomials viewed as quadratics
-    in y (degree <= 4 in x), isolates the x-roots with the scalar kernel, then
-    recovers matching y values.  Degenerate lead coefficients fall back to
-    substitution; a rotated retry covers near-vertical pathologies.
+    Eliminates y via conic_y_resultant (degree <= 4 in x; the cubic when both
+    conics are linear in y), isolates the x-roots with the scalar kernel, then
+    recovers matching y values; a rotated retry covers near-vertical
+    pathologies.
     """
     if conics_identical(c1, c2, tol):
         raise OverlappingArcsError("overlapping arcs (identical supporting conics)")
@@ -903,28 +995,17 @@ def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):
 
     a1, b1, cc1 = _conic_as_y_quadratic(c1)
     a2, b2, cc2 = _conic_as_y_quadratic(c2)
+    res, num = conic_y_resultant(c1, c2)
 
     pts = []
     tiny = 1e-10
 
     if abs(a1) > tiny or abs(a2) > tiny:
-        # ensure conic 1 is the one with a y^2 term
+        # recover y on a conic with a y^2 term; swapping the conics negates
+        # p, q and v and leaves the resultant unchanged
         if abs(a1) <= tiny:
-            a1, b1, cc1, a2, b2, cc2 = a2, b2, cc2, a1, b1, cc1
+            a1, b1, cc1 = a2, b2, cc2
             c1, c2 = c2, c1
-        if abs(a2) > tiny:
-            # resultant of two quadratics in y
-            t1 = poly_sub(poly_scale(cc2, a1), poly_scale(cc1, a2))
-            res = poly_sub(poly_mul(t1, t1),
-                           poly_mul(poly_sub(poly_scale(b2, a1), poly_scale(b1, a2)),
-                                    poly_sub(poly_mul(b1, cc2), poly_mul(b2, cc1))))
-        else:
-            # conic 2 linear in y: y = -cc2(x)/b2(x); substitute into conic 1
-            # a1*y^2 + b1(x) y + cc1(x) = 0 multiplied by b2(x)^2
-            res = poly_add(
-                poly_scale(poly_mul(cc2, cc2), a1),
-                poly_add(poly_scale(poly_mul(poly_mul(b1, cc2), b2), -1.0),
-                         poly_mul(cc1, poly_mul(b2, b2))))
         try:
             xs = real_roots(res, xlo, xhi, tol)
         except DegeneratePolynomialError:
@@ -940,8 +1021,7 @@ def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):
                 if abs(conic_value(c2, x, y)) <= 1e-6 * (1.0 + x * x + y * y):
                     pts.append((x, y))
     else:
-        # both linear in y: b_i(x) y + c_i(x) = 0
-        num = poly_sub(poly_mul(b1, cc2), poly_mul(b2, cc1))
+        # both linear in y: b_i(x) y + c_i(x) = 0, and b1 c2 - b2 c1 = 0
         try:
             xs = real_roots(num, xlo, xhi, tol)
         except DegeneratePolynomialError:

@@ -94,30 +94,6 @@ def poly_deriv(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0.0) + (q[i] if i < len(q) else 0.0) for i in range(n)]
-
-
-def poly_sub(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0.0) - (q[i] if i < len(q) else 0.0) for i in range(n)]
-
-
-def poly_mul(p, q):
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0.0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def poly_scale(p, s):
-    return [c * s for c in p]
-
-
 def poly_trim(coeffs, rel_floor=1e-14):
     """Drop numerically-zero leading coefficients. Empty list if all zero."""
     coeffs = list(coeffs)

@@ -339,9 +339,9 @@ def sample_image_points(surface, spacing):
         A = np.array(ia, dtype=float)
         B = np.array(ib, dtype=float)
         C = np.array(ic, dtype=float)
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                l1 = i / k
-                l2 = j / k
-                out.append((1.0 - l1 - l2) * A + l1 * B + l2 * C)
-    return np.array(out)
+        # every (i, j) with i + j <= k, i-major as in a double loop
+        i, j = np.nonzero(np.add.outer(np.arange(k + 1), np.arange(k + 1)) <= k)
+        l1 = (i / k)[:, None]
+        l2 = (j / k)[:, None]
+        out.append((1.0 - l1 - l2) * A + l1 * B + l2 * C)
+    return np.concatenate(out)

@@ -9,6 +9,7 @@ import numpy as np
 from scipy import ndimage
 
 from frechet_surfaces.batched import batch_dist_point_triangle
+from frechet_surfaces.geometry import vdist
 from frechet_surfaces.surface import lipschitz_constant
 
 
@@ -278,3 +279,51 @@ def bfs_components(vertices, edges):
                     stack.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+# ---------------------------------------------------------------------------
+# One-at-a-time references of vectorised routines
+# ---------------------------------------------------------------------------
+
+def sample_image_points_loop(surface, spacing):
+    """surface.sample_image_points, one barycentric sample at a time."""
+    out = []
+    for ti in range(surface.n_triangles):
+        ia, ib, ic = surface.image_triangle(ti)
+        diam = max(vdist(ia, ib), vdist(ib, ic), vdist(ic, ia))
+        k = max(1, int(math.ceil(diam / max(spacing, 1e-12))))
+        A = np.array(ia, dtype=float)
+        B = np.array(ib, dtype=float)
+        C = np.array(ic, dtype=float)
+        for i in range(k + 1):
+            for j in range(k + 1 - i):
+                l1 = i / k
+                l2 = j / k
+                out.append((1.0 - l1 - l2) * A + l1 * B + l2 * C)
+    return np.array(out)
+
+
+def resultant_rows(C1, C2):
+    """The y-resultant quartic and the cubic b1*c2 - b2*c1 of conic pairs,
+    given as (N, 6) rows (A, B, C, D, E, F), as (N, 5) and (N, 4) arrays.
+    This is the form the type-2c search solved before the resultant builder
+    was shared with the coverage sweep; 2c values stay the same only while
+    the shared builder equals it bit for bit."""
+    A1, B1, Cc1, D1, E1, F1 = (C1[:, i] for i in range(6))
+    A2, B2, Cc2, D2, E2, F2 = (C2[:, i] for i in range(6))
+    p0 = Cc1 * F2 - Cc2 * F1
+    p1 = Cc1 * D2 - Cc2 * D1
+    p2 = Cc1 * A2 - Cc2 * A1
+    q0 = Cc1 * E2 - Cc2 * E1
+    q1 = Cc1 * B2 - Cc2 * B1
+    v0 = E1 * F2 - E2 * F1
+    v1 = E1 * D2 + B1 * F2 - (E2 * D1 + B2 * F1)
+    v2 = E1 * A2 + B1 * D2 - (E2 * A1 + B2 * D1)
+    v3 = B1 * A2 - B2 * A1
+    res = np.empty((C1.shape[0], 5))
+    res[:, 0] = p0 * p0 - q0 * v0
+    res[:, 1] = 2 * p0 * p1 - (q0 * v1 + q1 * v0)
+    res[:, 2] = p1 * p1 + 2 * p0 * p2 - (q0 * v2 + q1 * v1)
+    res[:, 3] = 2 * p1 * p2 - (q0 * v3 + q1 * v2)
+    res[:, 4] = p2 * p2 - q1 * v3
+    return res, np.stack([v0, v1, v2, v3], axis=1)

@@ -5,11 +5,11 @@ import pytest
 
 from frechet_surfaces import (CriticalValue, PairGeometry, critical_values_2c,
                               critical_values_C1, freespace)
-from frechet_surfaces.criticals import (_FEATURES, _feature_ranges,
+from frechet_surfaces.criticals import (_feature_ranges,
                                         equidistance_values_on_segment,
                                         triple_equidistance_values)
-from frechet_surfaces.geometry import (closest_point_segment, dist_point_triangle,
-                                       vdist)
+from frechet_surfaces.geometry import (FEATURES, closest_point_segment,
+                                       dist_point_triangle, vdist)
 from frechet_surfaces.surface import ParamTriangulation, Surface
 from frechet_surfaces import validate
 from .conftest import flat_surface, random_surface_pair, random_triangle, \
@@ -280,7 +280,7 @@ def test_t2c_rejects_roots_of_rows_whose_features_are_not_nearest():
     from frechet_surfaces.geometry import frame_of_triangle
     frame = frame_of_triangle(_SHARED_VERTEX_HOST)
     tri2d = [frame.to_plane(p) for p in _SHARED_VERTEX_HOST]
-    ranges = [[(0.0, math.inf)] * len(_FEATURES) for _ in _SHARED_VERTEX_OTHERS]
+    ranges = [[(0.0, math.inf)] * len(FEATURES) for _ in _SHARED_VERTEX_OTHERS]
     vals = triple_equidistance_values(frame, tri2d, _SHARED_VERTEX_OTHERS,
                                       ranges, 0.0, 1.0)
     assert vals == []
@@ -311,8 +311,8 @@ def test_feature_ranges_bound_sampled_distances(rng):
                 for i in range(so.n_triangles):
                     ti = so.image_triangle(i)
                     ranges = _feature_ranges(geo, q_on_f, q, i)
-                    assert len(ranges) == len(_FEATURES)
-                    for (lb, ub), feat in zip(ranges, _FEATURES):
+                    assert len(ranges) == len(FEATURES)
+                    for (lb, ub), feat in zip(ranges, FEATURES):
                         assert lb <= ub
                         for p in pts:
                             d = _feature_distance(p, ti, feat)

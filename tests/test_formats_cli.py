@@ -63,6 +63,38 @@ def test_bad_rational_rejected():
             curve_from_dict({"dimension": 2, "vertices": [[0, 0], [bad, 1]]})
 
 
+_SQUARE = {"dimension": 3,
+           "param_vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+           "triangles": [[0, 1, 2], [0, 2, 3]],
+           "image_vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]}
+_LINE = {"dimension": 2, "vertices": [[0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("command, base, change", [
+    ("validate", _SQUARE, {"dimension": "x"}),
+    ("validate", _SQUARE, {"param_vertices": 5}),
+    ("validate", _SQUARE, {"param_vertices": [None, [1, 0], [1, 1], [0, 1]]}),
+    ("validate", _SQUARE, {"image_vertices": [None, [1, 0, 0], [1, 1, 0], [0, 1, 0]]}),
+    ("validate", _SQUARE, {"triangles": None}),
+    ("validate", _SQUARE, {"triangles": [["a", 1, 2], [0, 2, 3]]}),
+    ("validate", _SQUARE, {"triangles": [[0, 1, 2.5], [0, 2, 3]]}),
+    ("validate", _SQUARE, {"param_vertices": [], "image_vertices": []}),
+    ("curve", _LINE, {"dimension": "x"}),
+    ("curve", _LINE, {"dimension": 2.0}),
+    ("curve", _LINE, {"vertices": 5}),
+    ("curve", _LINE, {"vertices": [[0, 0], None]}),
+])
+def test_malformed_document_exit_2(tmp_path, capsys, command, base, change):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**base, **change}))
+    args = ["validate", str(path)] if command == "validate" else \
+        ["curve", "compute", str(path), str(path)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_parse_tolerance():
     t = parse_tolerance("1e-8")
     assert t.rel == 1e-8

@@ -14,20 +14,25 @@ from frechet_surfaces.batched import (_best_edge_point,
                                       point_triangle_table,
                                       segment_triangle_table,
                                       triangle_triangle_table)
-from frechet_surfaces.geometry import (GeometryError, OverlappingArcsError,
+from frechet_surfaces.geometry import (FEATURES, GeometryError,
+                                       OverlappingArcsError,
                                        arc_pair_intersections,
                                        closest_point_segment,
                                        closest_point_triangle,
                                        closest_segment_segment,
-                                       conic_value, dist_point_triangle,
+                                       conic_conic_points, conic_value,
+                                       conic_y_resultant, dist_point_triangle,
                                        dist_segment_triangle,
                                        dist_triangle_triangle,
                                        eps_neighborhood_plane_boundary,
+                                       feature_sqdist_conic,
                                        frame_of_triangle,
+                                       line_sqdist_quadratic,
                                        make_circle_arc, make_segment_arc,
                                        Plane2Frame, SLICE_EMPTY, SLICE_BOUNDARY,
-                                       segment_crosses_triangle, vdist)
-from .oracles import (sample_triangle, sampled_point_triangle,
+                                       point_sqdist_quadratic,
+                                       segment_crosses_triangle, vdist, vunit)
+from .oracles import (resultant_rows, sample_triangle, sampled_point_triangle,
                       sampled_segment_triangle, sampled_triangle_triangle)
 
 TRI = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
@@ -423,6 +428,105 @@ def test_arc_residuals(rng):
             d = dist_point_triangle(frame.from_plane(p), tri)
             assert abs(d - 0.5) < 1e-7
             assert abs(conic_value(arc.coeffs, *p)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# squared-distance forms and the conic resultant
+# ---------------------------------------------------------------------------
+
+def _sqdist_to_line(p, a, u):
+    w = np.subtract(p, a)
+    return float(np.sum((w - (w @ u) * u) ** 2))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_segment_sqdist_quadratics_match_direct_distances(rng, d):
+    for _ in range(50):
+        s0, s1, q, a, b = (tuple(float(c) for c in rng.uniform(-2, 2, d))
+                           for _ in range(5))
+        seg_d = tuple(y - x for x, y in zip(s0, s1))
+        u = vunit(tuple(y - x for x, y in zip(a, b)))
+        t = float(rng.uniform(-1.0, 2.0))
+        p = np.add(s0, t * np.asarray(seg_d))
+        for (A, B, C), expected in (
+                (point_sqdist_quadratic(s0, seg_d, q), float(np.sum((p - q) ** 2))),
+                (line_sqdist_quadratic(s0, seg_d, a, u),
+                 _sqdist_to_line(p, a, np.asarray(u)))):
+            assert math.isclose(A * t * t + B * t + C, expected,
+                                rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_feature_sqdist_conic_matches_direct_distances(rng, d):
+    from .conftest import random_triangle
+    for _ in range(10):
+        tri = random_triangle(rng, d)
+        frame = frame_of_triangle(random_triangle(rng, d))
+        pts = np.asarray(tri)
+        for kind, idx in FEATURES:
+            conic = feature_sqdist_conic(frame, tri, (kind, idx))
+            if kind == "face" and d == 2:
+                assert conic is None
+                continue
+            for x, y in rng.uniform(-2, 2, size=(5, 2)):
+                p = np.asarray(frame.from_plane((x, y)))
+                if kind == "vertex":
+                    expected = float(np.sum((p - pts[idx]) ** 2))
+                elif kind == "edge":
+                    axis = pts[(idx + 1) % 3] - pts[idx]
+                    expected = _sqdist_to_line(p, pts[idx], axis / np.linalg.norm(axis))
+                else:
+                    n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+                    expected = float((n @ (p - pts[0])) ** 2 / (n @ n))
+                assert math.isclose(conic_value(conic, x, y), expected,
+                                    rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_conic_y_resultant_floats_equal_array_rows(rng):
+    C1 = rng.normal(size=(60, 6))
+    C2 = rng.normal(size=(60, 6))
+    C1[::3, 2] = 0.0   # linear in y
+    C2[::2, 2] = 0.0
+    quartic, cubic = conic_y_resultant(C1.T, C2.T)
+    quartic = np.stack(quartic, axis=1)
+    cubic = np.stack(cubic, axis=1)
+    ref_quartic, ref_cubic = resultant_rows(C1, C2)
+    assert np.array_equal(quartic, ref_quartic)
+    assert np.array_equal(cubic, ref_cubic)
+    for r in range(len(C1)):
+        q, c = conic_y_resultant(tuple(C1[r].tolist()), tuple(C2[r].tolist()))
+        assert q == tuple(quartic[r].tolist())
+        assert c == tuple(cubic[r].tolist())
+
+
+def _conic_through(rng, p, q, y_squared):
+    """Random conic (A, B, C, D, E, F) through the points p and q, with no
+    y^2 term unless y_squared."""
+    A, B, E = rng.normal(size=3)
+    C = float(rng.uniform(0.5, 2.0)) if y_squared else 0.0
+    rest = [A * x * x + B * x * y + C * y * y + E * y for x, y in (p, q)]
+    D = -(rest[0] - rest[1]) / (p[0] - q[0])
+    F = -rest[0] - D * p[0]
+    return tuple(float(c) for c in (A, B, C, D, E, F))
+
+
+@pytest.mark.parametrize("y_squared", [(True, True), (False, True), (False, False)],
+                         ids=["both_quadratic", "one_linear", "both_linear"])
+def test_conic_y_resultant_vanishes_at_intersections(rng, y_squared):
+    for _ in range(20):
+        p, q = (tuple(float(c) for c in rng.uniform(-1, 1, 2)) for _ in range(2))
+        if abs(p[0] - q[0]) < 0.2:
+            continue
+        c1 = _conic_through(rng, p, q, y_squared[0])
+        c2 = _conic_through(rng, p, q, y_squared[1])
+        quartic, cubic = conic_y_resultant(c1, c2)
+        poly = quartic if any(y_squared) else cubic
+        for x, _ in (p, q):
+            value = sum(c * x ** i for i, c in enumerate(poly))
+            assert abs(value) <= 1e-9 * sum(abs(c * x ** i) for i, c in enumerate(poly))
+        pts = conic_conic_points(c1, c2, -1.5, 1.5)
+        for r in (p, q):
+            assert min(math.dist(r, s) for s in pts) < 1e-6
 
 
 # ---------------------------------------------------------------------------

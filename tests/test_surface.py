@@ -8,6 +8,7 @@ from frechet_surfaces import (ParamTriangulation, Surface, barycentric_subdivide
                               subdivide_times, validate)
 from frechet_surfaces.surface import image_diameter_bound, sample_image_points
 from .conftest import flat_surface, random_surface, two_triangle_square
+from .oracles import sample_image_points_loop
 
 
 def test_valid_two_triangle_square():
@@ -152,6 +153,14 @@ def test_sample_image_points_covering(rng):
     for p in s.image:
         d = np.linalg.norm(pts - np.asarray(p), axis=1).min()
         assert d < 1e-12
+
+
+@pytest.mark.parametrize("spacing", [0.02, 0.05, 0.1])
+def test_sample_image_points_equals_loop(rng, spacing):
+    for _ in range(4):
+        s = random_surface(rng)
+        assert np.array_equal(sample_image_points(s, spacing),
+                              sample_image_points_loop(s, spacing))
 
 
 def test_image_diameter_bound(rng):

@@ -170,11 +170,14 @@ def run(argv=None):
         cfg.pairs_m_2m = args.pairs_m_2m
         print(cfg.header_json())
         f, g = _load_two_surfaces(args, tol)
-        budget = Budget(max_pairs=args.budget_pairs,
-                        max_candidates_per_pair=args.budget_candidates,
-                        max_chain_len=args.budget_chainlen,
-                        wall_clock_s=args.budget_seconds,
-                        pairs_m_2m=args.pairs_m_2m)
+        try:
+            budget = Budget(max_pairs=args.budget_pairs,
+                            max_candidates_per_pair=args.budget_candidates,
+                            max_chain_len=args.budget_chainlen,
+                            wall_clock_s=args.budget_seconds,
+                            pairs_m_2m=args.pairs_m_2m)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
         for (val, m, n, idx) in semi_compute_stream(f, g, budget, tol):
             print(json.dumps({"value": val, "m": m, "n": n, "candidate": idx},
                              sort_keys=True))
@@ -201,7 +204,7 @@ def run(argv=None):
         print(cfg.header_json())
         if args.what == "curve-freespace":
             f, g = _load_two_curves(args)
-            curves.curve_freespace_svg(f, g, args.eps, args.svg, tol=tol)
+            curves.curve_freespace_svg(f, g, args.eps, args.svg)
         else:
             f, g = _load_two_surfaces(args, tol)
             if not (0 <= args.k_tri < f.n_triangles):

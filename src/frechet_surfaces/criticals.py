@@ -19,9 +19,9 @@ from .scalar import DEFAULT_TOL, DegeneratePolynomialError, quadratic_roots
 from .freespace import PairGeometry
 from .geometry import (FEATURES, closest_point_segment, closest_point_triangle,
                        closest_segment_segment, conic_value, conic_y_resultant,
-                       cross_norm, dist_point_triangle, feature_sqdist_conic,
-                       frame_of_triangle, line_sqdist_quadratic,
-                       perp_component, point_sqdist_quadratic,
+                       cross_norm, dist_point_triangle, feature_regions,
+                       feature_sqdist_conic, frame_of_triangle,
+                       line_sqdist_quadratic, point_sqdist_quadratic,
                        triangle_unit_normal, vdist, vdot, vsub, vunit)
 
 
@@ -42,32 +42,16 @@ class CriticalValue:
 
 def _region_breakpoints_on_segment(seg, tri):
     """Parameters t where the nearest feature of the triangle can switch along
-    the segment: crossings of the (linear) feature-region boundaries."""
+    the segment: crossings of the planes that bound the feature regions."""
     s0, s1 = seg
     d = vsub(s1, s0)
     ts = []
-
-    def add_plane(grad, val0):
-        v0 = vdot(grad, s0) + val0
+    for grad, c in feature_regions(tri)[0]:
         slope = vdot(grad, d)
         if slope != 0.0:
-            t = -v0 / slope
+            t = -(vdot(grad, s0) + c) / slope
             if 0.0 < t < 1.0:
                 ts.append(t)
-
-    for i in range(3):
-        vi = tri[i]
-        for j in range(3):
-            if j == i:
-                continue
-            grad = vsub(tri[j], vi)
-            add_plane(grad, -vdot(vi, grad))
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        c = tri[(i + 2) % 3]
-        u = vunit(vsub(b, a))
-        w = perp_component(vsub(c, a), u)
-        add_plane(w, -vdot(a, w))
     return ts
 
 

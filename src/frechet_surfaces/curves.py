@@ -414,7 +414,7 @@ def discrete_frechet(f, g):
 _SHADE_RES = 14
 
 
-def curve_freespace_svg(f, g, eps, path, tol=DEFAULT_TOL):
+def curve_freespace_svg(f, g, eps, path):
     """Shade the free-space diagram of two curves: one n x m grid of cells,
     sub-sampled _SHADE_RES^2 per cell, free samples drawn white on grey."""
     require_same_dimension(f, g)

@@ -45,6 +45,13 @@ def _list(value, where):
     return value
 
 
+def _object(doc, what):
+    # indexing a list or a string by a field name would raise TypeError
+    if not isinstance(doc, dict):
+        raise FormatError(
+            f"a {what} document must be a JSON object, got {type(doc).__name__}")
+
+
 def _dimension(doc):
     dim = _integer(doc["dimension"], "dimension")
     if dim not in (2, 3):
@@ -53,6 +60,7 @@ def _dimension(doc):
 
 
 def surface_from_dict(doc):
+    _object(doc, "surface")
     try:
         dim = _dimension(doc)
         raw_pv = _list(doc["param_vertices"], "param_vertices")
@@ -117,6 +125,7 @@ def save_surface(surface, path):
 
 
 def curve_from_dict(doc):
+    _object(doc, "curve")
     try:
         dim = _dimension(doc)
         raw = _list(doc["vertices"], "vertices")

@@ -8,6 +8,7 @@ versions of the distance routines are in batched.py.
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -419,14 +420,63 @@ def feature_sqdist_conic(frame, tri, feature):
 
 
 # ---------------------------------------------------------------------------
+# Nearest-feature regions of a triangle
+# ---------------------------------------------------------------------------
+#
+# The points whose nearest point of a triangle lies on one feature form that
+# feature's region, an intersection of half-spaces bounded by nine planes.
+
+# The (plane index, side) pairs of each region: a vertex lies behind its two
+# vertex planes, an edge in front of the vertex planes at both of its ends and
+# outside its side plane, the face inside all three side planes.
+_REGION_SIDES = {
+    ("vertex", 0): ((0, 1), (1, 1)),
+    ("vertex", 1): ((2, 1), (3, 1)),
+    ("vertex", 2): ((4, 1), (5, 1)),
+    ("edge", 0): ((0, -1), (2, -1), (6, 1)),
+    ("edge", 1): ((3, -1), (5, -1), (7, 1)),
+    ("edge", 2): ((4, -1), (1, -1), (8, 1)),
+    ("face", 0): ((6, -1), (7, -1), (8, -1)),
+}
+
+
+def feature_regions(tri):
+    """The nine planes that bound a triangle's nearest-feature regions, and
+    for each feature of FEATURES the (plane index, side) pairs of its region:
+    where side * (grad . p + c) <= 0 for every pair.
+
+    A plane is (grad, c), the affine functional grad . p + c: first the six
+    vertex planes (p - v_i) . (v_j - v_i) for (i, j) = (0, 1), (0, 2), (1, 0),
+    (1, 2), (2, 0), (2, 1), then the side planes (p - a) . w of edges
+    i = 0, 1, 2 joining a = v_i and b, with w the part of c - a orthogonal to
+    b - a (c the third vertex).  Works in any dimension >= 2."""
+    planes = []
+    for i, j in permutations(range(3), 2):
+        grad = vsub(tri[j], tri[i])
+        planes.append((grad, -vdot(tri[i], grad)))
+    for i in range(3):
+        a, b, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+        w = perp_component(vsub(c, a), vunit(vsub(b, a)))
+        planes.append((w, -vdot(a, w)))
+    return planes, _REGION_SIDES
+
+
+def _oriented_plane(plane, side):
+    """The plane itself for side 1; its exact negation for side -1."""
+    grad, c = plane
+    return plane if side > 0 else (vscale(grad, -1.0), -c)
+
+
+# ---------------------------------------------------------------------------
 # Conic arcs in a plane frame
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ConicArc:
-    """Arc of a circle/ellipse, or a straight segment, in plane coordinates.
+    """Arc of an ellipse (a circle when rx == ry), or a straight segment, in
+    plane coordinates.
 
-    Circle/ellipse arcs are parameterized as
+    Ellipse arcs are parameterized as
         p(t) = center + rx*cos(t)*u_axis + ry*sin(t)*v_axis
     with t in [t0, t1] (t1 <= t0 + 2*pi); segments use p(t) = p0 + t*(p1-p0),
     t in [0, 1].  ``coeffs`` stores the implicit supporting conic
@@ -435,7 +485,7 @@ class ConicArc:
     produced the arc.
     """
 
-    kind: str  # "circle" | "ellipse" | "segment"
+    kind: str  # "ellipse" | "segment"
     center: tuple = (0.0, 0.0)
     rx: float = 0.0
     ry: float = 0.0
@@ -559,10 +609,6 @@ def conic_value(coeffs, x, y):
     return A * x * x + B * x * y + C * y * y + D * x + E * y + F
 
 
-def _circle_coeffs(cx, cy, r):
-    return (1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - r * r)
-
-
 def _ellipse_coeffs(cx, cy, rx, ry, rot):
     # Expand ((x') / rx)^2 + ((y') / ry)^2 = 1 with x' = rotation of (x - c).
     c, s = math.cos(rot), math.sin(rot)
@@ -587,12 +633,6 @@ def _line_coeffs(p0, p1):
 def make_segment_arc(p0, p1, source=("face", 0)):
     return ConicArc(kind="segment", p0=tuple(p0), p1=tuple(p1), t0=0.0, t1=1.0,
                     coeffs=_line_coeffs(p0, p1), source=source)
-
-
-def make_circle_arc(center, r, t0, t1, source):
-    return ConicArc(kind="circle", center=tuple(center), rx=r, ry=r, rot=0.0,
-                    t0=t0, t1=t1, coeffs=_circle_coeffs(center[0], center[1], r),
-                    source=source)
 
 
 def make_ellipse_arc(center, rx, ry, rot, t0, t1, source):
@@ -728,7 +768,7 @@ def _classify_restricted_quadric(A2, b2, c0, source, scene_halfwidth, halfplanes
         return arcs
 
     if lam_small > 1e-7 * lam_big:
-        # positive definite: ellipse (or circle)
+        # positive definite: ellipse
         center = np.linalg.solve(A, -b)
         q0 = c0 + float(b @ center)
         if q0 >= -tol.abs * max(1.0, scale):
@@ -738,16 +778,9 @@ def _classify_restricted_quadric(A2, b2, c0, source, scene_halfwidth, halfplanes
         # axis of lam_big has the SMALL radius r1
         ax = evecs[:, 1]
         rot = math.atan2(ax[1], ax[0])
-        cx, cy = float(center[0]), float(center[1])
-        if abs(r1 - r2) <= tol.rel * max(r1, r2):
-            mk = lambda t0, t1: make_circle_arc((cx, cy), 0.5 * (r1 + r2), t0, t1, source)
-            ivals = clip_ellipse_by_halfplanes((cx, cy), 0.5 * (r1 + r2),
-                                               0.5 * (r1 + r2), 0.0, halfplanes, tol)
-        else:
-            mk = lambda t0, t1: make_ellipse_arc((cx, cy), r1, r2, rot, t0, t1, source)
-            ivals = clip_ellipse_by_halfplanes((cx, cy), r1, r2, rot, halfplanes, tol)
-        for (t0, t1) in ivals:
-            arcs.append(mk(t0, t1))
+        cxy = (float(center[0]), float(center[1]))
+        for (t0, t1) in clip_ellipse_by_halfplanes(cxy, r1, r2, rot, halfplanes, tol):
+            arcs.append(make_ellipse_arc(cxy, r1, r2, rot, t0, t1, source))
         return arcs
 
     # rank one: q = lam_big * (e . w + s0)^2 + const -> 0, 1 or 2 parallel lines
@@ -807,7 +840,7 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
     features: three vertices (sphere cap -> circle), three edges (cylinder ->
     ellipse / parallel lines) and the face (two offset planes -> lines, d=3
     only).  Each feature's curve is clipped to the region where that feature
-    is the nearest one — those regions are intersections of half-spaces, so
+    is the nearest one — feature_regions bounds those regions by planes, so
     the clipping is exact.
     """
     if eps < 0.0:
@@ -824,9 +857,14 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
     reach = max(vdist(frame.origin, v) for v in tri)
     scene = reach + triangle_scale(tri) + eps + 1.0
     arcs = []
+    planes, sides = feature_regions(tri)
 
-    # vertex features; each half-plane is an ambient affine functional
-    # grad . p + val0 <= 0 restricted to the plane
+    def region(feature):
+        # the feature's nearest region as half-planes alpha*u + beta*v + gamma <= 0
+        return [frame.affine_in_plane(*_oriented_plane(planes[k], side))
+                for k, side in sides[feature]]
+
+    # vertex features: sphere caps, circles of radius rho in the plane
     for i in range(3):
         v = tri[i]
         h = frame.offset_of(v)
@@ -835,41 +873,17 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
             continue
         rho = math.sqrt(rho2)
         cuv = frame.to_plane(v)
-        hps = []
-        for j in range(3):
-            if j == i:
-                continue
-            w = tri[j]
-            grad = vsub(w, v)  # (p - v) . (w - v) <= 0
-            hps.append(frame.affine_in_plane(grad, -vdot(v, grad)))
-        ivals = clip_ellipse_by_halfplanes(cuv, rho, rho, 0.0, hps, tol)
-        for (t0, t1) in ivals:
-            arcs.append(make_circle_arc(cuv, rho, t0, t1, ("vertex", i)))
+        for (t0, t1) in clip_ellipse_by_halfplanes(cuv, rho, rho, 0.0,
+                                                   region(("vertex", i)), tol):
+            arcs.append(make_ellipse_arc(cuv, rho, rho, 0.0, t0, t1, ("vertex", i)))
 
-    # edge features
+    # edge features: the squared distance to the edge line minus eps^2, as
+    # w^T A2 w + 2 b2 . w + c0 in plane coordinates w (halving B, D, E is exact)
     for i in range(3):
-        a = tri[i]
-        b = tri[(i + 1) % 3]
-        c = tri[(i + 2) % 3]
-        axis = vsub(b, a)
-        L = vnorm(axis)
-        u = vunit(axis)
-        # squared distance to the edge line minus eps^2, as w^T A2 w +
-        # 2 b2 . w + c0 in plane coordinates w (halving B, D, E is exact)
         A, B, C, D, E, F = feature_sqdist_conic(frame, tri, ("edge", i))
-        A2 = ((A, 0.5 * B), (0.5 * B, C))
-        b2v = (0.5 * D, 0.5 * E)
-        c0 = F - eps * eps
-        # nearest-region: 0 <= (p-a).u*L <= L^2 and (p-a) . perp(c-a) <= 0
-        hps = []
-        grad = vsub(a, b)  # -(p - a).(b - a) <= 0
-        hps.append(frame.affine_in_plane(grad, -vdot(a, grad)))
-        grad = vsub(b, a)  # (p - a).(b - a) - L^2 <= 0
-        hps.append(frame.affine_in_plane(grad, -vdot(a, grad) - L * L))
-        wout = perp_component(vsub(c, a), u)
-        hps.append(frame.affine_in_plane(wout, -vdot(a, wout)))
         arcs.extend(_classify_restricted_quadric(
-            A2, b2v, c0, ("edge", i), scene, hps, tol))
+            ((A, 0.5 * B), (0.5 * B, C)), (0.5 * D, 0.5 * E), F - eps * eps,
+            ("edge", i), scene, region(("edge", i)), tol))
 
     # face feature (two offset planes), d=3 only
     if d == 3:
@@ -877,32 +891,10 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
         alpha, beta, gamma0 = frame.affine_in_plane(n, -vdot(tri[0], n))
         # lambda(u,v) = alpha*u + beta*v + gamma0 is the signed plane offset
         if math.hypot(alpha, beta) > tol.rel:
-            # projection-inside-triangle half-planes: barycentric >= 0 of
-            # proj(p) = p - lambda(p) * n, expressed via 2D barycentric in the
-            # triangle's own frame.
-            tf = frame_of_triangle(tri, tol)
-            vs2 = [tf.to_plane(v) for v in tri]
-            hps_proj = []
-            for j in range(3):
-                pA = vs2[j]
-                pB = vs2[(j + 1) % 3]
-                # inside means left of each CCW edge; build as ambient affine
-                # functional of p (projection kills the n-component, and the
-                # triangle-frame coords of p equal those of proj(p)).
-                ex = pB[0] - pA[0]
-                ey = pB[1] - pA[1]
-                # left-of test: ex*(y - ay) - ey*(x - ax) >= 0 where (x, y) are
-                # coords of p in tf; as ambient gradient:
-                grad = vsub(vscale(tf.b2, ex), vscale(tf.b1, ey))
-                val0 = -(ex * pA[1] - ey * pA[0]) - vdot(tf.origin, grad)
-                # want grad.p + val0 >= 0  ->  -(grad.p + val0) <= 0
-                # (vs2 is CCW by construction of the triangle frame, so the
-                # interior has positive left-of values)
-                hps_proj.append(frame.affine_in_plane(vscale(grad, -1.0), -val0))
+            hps = region(("face", 0))
             for sign in (1.0, -1.0):
                 line = (alpha, beta, gamma0 - sign * eps)
-                arcs.extend(_line_to_arcs(line, scene, hps_proj,
-                                          ("face", 0), tol))
+                arcs.extend(_line_to_arcs(line, scene, hps, ("face", 0), tol))
 
     if not arcs:
         return PlaneSlice([], SLICE_INSIDE)

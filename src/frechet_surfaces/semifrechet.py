@@ -41,6 +41,8 @@ class Budget:
             raise ValueError("budget counts must be nonnegative")
         if self.max_chain_len < 1 or self.max_steps_per_pair < 1:
             raise ValueError("chain length and step caps must be positive")
+        if self.wall_clock_s is not None and self.wall_clock_s < 0:
+            raise ValueError("the wall-clock budget must be nonnegative")
 
 
 def pair_sequence(budget):

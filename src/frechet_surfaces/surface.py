@@ -213,15 +213,11 @@ def _barycentric(p, a, b, c):
 def locate_triangle(tri, p, tol=DEFAULT_TOL):
     """Index of a triangle containing p (linear scan), with barycentrics."""
     g = tol.gap(1.0)
-    best = None
     for ti in range(len(tri.triangles)):
         a, b, c = tri.triangle_points(ti)
         l1, l2, l3 = _barycentric(p, a, b, c)
-        worst = min(l1, l2, l3)
-        if worst >= -g:
+        if min(l1, l2, l3) >= -g:
             return ti, (l1, l2, l3)
-        if best is None or worst > best[0]:
-            best = (worst, ti, (l1, l2, l3))
     return None, None
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import ndimage
 
 from frechet_surfaces.batched import batch_dist_point_triangle
-from frechet_surfaces.geometry import vdist
+from frechet_surfaces.geometry import perp_component, vdist, vdot, vsub, vunit
 from frechet_surfaces.surface import lipschitz_constant
 
 
@@ -327,3 +327,37 @@ def resultant_rows(C1, C2):
     res[:, 3] = 2 * p1 * p2 - (q0 * v3 + q1 * v2)
     res[:, 4] = p2 * p2 - q1 * v3
     return res, np.stack([v0, v1, v2, v3], axis=1)
+
+
+def region_breakpoints_loops(seg, tri):
+    """The parameters t in (0, 1) where the segment crosses a plane bounding
+    the triangle's nearest-feature regions, each plane built in its own loop.
+    This is the form T2b used before the planes were shared with the coverage
+    slices; T2b values stay the same only while the shared planes equal it
+    bit for bit."""
+    s0, s1 = seg
+    d = vsub(s1, s0)
+    ts = []
+
+    def add_plane(grad, val0):
+        v0 = vdot(grad, s0) + val0
+        slope = vdot(grad, d)
+        if slope != 0.0:
+            t = -v0 / slope
+            if 0.0 < t < 1.0:
+                ts.append(t)
+
+    for i in range(3):
+        vi = tri[i]
+        for j in range(3):
+            if j == i:
+                continue
+            grad = vsub(tri[j], vi)
+            add_plane(grad, -vdot(vi, grad))
+    for i in range(3):
+        a, b = tri[i], tri[(i + 1) % 3]
+        c = tri[(i + 2) % 3]
+        u = vunit(vsub(b, a))
+        w = perp_component(vsub(c, a), u)
+        add_plane(w, -vdot(a, w))
+    return ts

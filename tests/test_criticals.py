@@ -7,6 +7,7 @@ from frechet_surfaces import (CriticalValue, PairGeometry, critical_values_2c,
                               critical_values_C1, freespace)
 from frechet_surfaces.criticals import (_feature_ranges,
                                         equidistance_values_on_segment,
+                                        segment_features,
                                         triple_equidistance_values)
 from frechet_surfaces.geometry import (FEATURES, closest_point_segment,
                                        dist_point_triangle, vdist)
@@ -14,7 +15,7 @@ from frechet_surfaces.surface import ParamTriangulation, Surface
 from frechet_surfaces import validate
 from .conftest import flat_surface, random_surface_pair, random_triangle, \
     translate_surface
-from .oracles import points_triangle_dist
+from .oracles import points_triangle_dist, region_breakpoints_loops
 from .test_decision import _count_calls
 
 
@@ -133,6 +134,22 @@ def test_t2b_verified_equidistant(rng):
                tuple(float(c) for c in rng.uniform(-1, 1, size=3)))
         for v in equidistance_values_on_segment(seg, tri_a, tri_b):
             assert v >= 0.0
+
+
+def test_t2b_breakpoints_equal_plane_loops(rng):
+    # the shared region planes cut a segment exactly where T2b's own plane
+    # loops did, also on triangles with two coincident vertices
+    crossings = 0
+    for d in (2, 3):
+        for trial in range(60):
+            a, b, c = random_triangle(rng, d)
+            tri = [(a, b, c), (a, a, c), (a, b, a), (a, b, b)][trial % 4]
+            seg = tuple(tuple(float(x) for x in p)
+                        for p in rng.uniform(-1.5, 1.5, size=(2, d)))
+            breaks = segment_features(seg, tri)[0]
+            assert set(breaks) == set(region_breakpoints_loops(seg, tri))
+            crossings += len(breaks)
+    assert crossings > 200
 
 
 # ---------------------------------------------------------------------------

@@ -83,16 +83,23 @@ _LINE = {"dimension": 2, "vertices": [[0, 0], [1, 0]]}
     ("curve", _LINE, {"dimension": 2.0}),
     ("curve", _LINE, {"vertices": 5}),
     ("curve", _LINE, {"vertices": [[0, 0], None]}),
+    # a change that is not an object replaces the whole document
+    ("validate", _SQUARE, [1, 2]),
+    ("curve", _LINE, [1, 2]),
 ])
 def test_malformed_document_exit_2(tmp_path, capsys, command, base, change):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({**base, **change}))
+    doc = {**base, **change} if isinstance(change, dict) else change
+    path.write_text(json.dumps(doc))
     args = ["validate", str(path)] if command == "validate" else \
         ["curve", "compute", str(path), str(path)]
     code, _, err = run_cli(args, capsys)
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if not isinstance(change, dict):
+        kind = "surface" if command == "validate" else "curve"
+        assert f"a {kind} document must be a JSON object, got list" in err
 
 
 def test_parse_tolerance():
@@ -163,6 +170,18 @@ def test_non_finite_option_values_exit_2(tmp_path, capsys):
             main(args)
         assert exc.value.code == 2
         assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [["--budget-chainlen", "0"],
+                                     ["--budget-pairs", "-1"],
+                                     ["--budget-seconds", "-1"]])
+def test_bad_semi_budget_exit_2(tmp_path, capsys, options):
+    pa = write_surface(tmp_path / "a.json", flat_surface())
+    code, out, err = run_cli(["semi", pa, pa] + options, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert len(out.strip().splitlines()) == 1  # the header, no stream
 
 
 def test_decide_true_false(tmp_path, capsys):

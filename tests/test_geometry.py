@@ -25,13 +25,15 @@ from frechet_surfaces.geometry import (FEATURES, GeometryError,
                                        dist_segment_triangle,
                                        dist_triangle_triangle,
                                        eps_neighborhood_plane_boundary,
-                                       feature_sqdist_conic,
+                                       feature_regions, feature_sqdist_conic,
                                        frame_of_triangle,
                                        line_sqdist_quadratic,
-                                       make_circle_arc, make_segment_arc,
+                                       make_ellipse_arc, make_segment_arc,
                                        Plane2Frame, SLICE_EMPTY, SLICE_BOUNDARY,
                                        point_sqdist_quadratic,
-                                       segment_crosses_triangle, vdist, vunit)
+                                       segment_crosses_triangle,
+                                       triangle_scale, vdist, vdot, vunit)
+from .conftest import random_triangle
 from .oracles import (resultant_rows, sample_triangle, sampled_point_triangle,
                       sampled_segment_triangle, sampled_triangle_triangle)
 
@@ -313,6 +315,28 @@ def test_closest_point_features():
     assert feat == ("edge", 0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_feature_regions_name_the_nearest_feature(rng, d):
+    # a point strictly inside one region is in no other, and the triangle's
+    # nearest feature to it is that region's feature
+    inside = 0
+    for _ in range(25):
+        tri = random_triangle(rng, d)
+        planes, sides = feature_regions(tri)
+        assert len(planes) == 9 and set(sides) == set(FEATURES)
+        margin = -1e-9 * triangle_scale(tri) ** 2
+        for p in rng.uniform(-2.0, 2.0, size=(200, d)):
+            p = tuple(float(x) for x in p)
+            values = [vdot(grad, p) + c for grad, c in planes]
+            hits = [feat for feat in FEATURES
+                    if all(side * values[k] < margin for k, side in sides[feat])]
+            assert len(hits) <= 1, (tri, p, hits)
+            if hits:
+                assert hits[0] == closest_point_triangle(p, tri)[1], (tri, p)
+                inside += 1
+    assert inside > 4900
+
+
 # ---------------------------------------------------------------------------
 # eps-neighborhood boundary in a plane
 # ---------------------------------------------------------------------------
@@ -323,11 +347,11 @@ def test_coplanar_offset_polygon():
     assert sl.status == SLICE_BOUNDARY
     kinds = sorted(a.kind for a in sl.arcs)
     assert kinds.count("segment") == 3
-    assert kinds.count("circle") == 3
-    # circles all of radius eps
+    assert kinds.count("ellipse") == 3
+    # vertex circles, all of radius eps
     for a in sl.arcs:
-        if a.kind == "circle":
-            assert abs(a.rx - 0.1) < 1e-12
+        if a.kind == "ellipse":
+            assert a.rx == a.ry == 0.1
 
 
 def test_plane_frame_uses_caller_tolerance():
@@ -413,7 +437,8 @@ def test_neighborhood_2d_offset():
     sl = eps_neighborhood_plane_boundary(
         tri2, 0.1, Plane2Frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
     kinds = sorted(a.kind for a in sl.arcs)
-    assert kinds.count("segment") == 3 and kinds.count("circle") == 3
+    assert kinds.count("segment") == 3 and kinds.count("ellipse") == 3
+    assert all(a.rx == a.ry == 0.1 for a in sl.arcs if a.kind == "ellipse")
 
 
 def test_arc_residuals(rng):
@@ -534,8 +559,8 @@ def test_conic_y_resultant_vanishes_at_intersections(rng, y_squared):
 # ---------------------------------------------------------------------------
 
 def test_two_unit_circles():
-    a = make_circle_arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi, ("vertex", 0))
-    b = make_circle_arc((1.0, 0.0), 1.0, 0.0, 2 * math.pi, ("vertex", 1))
+    a = make_ellipse_arc((0.0, 0.0), 1.0, 1.0, 0.0, 0.0, 2 * math.pi, ("vertex", 0))
+    b = make_ellipse_arc((1.0, 0.0), 1.0, 1.0, 0.0, 0.0, 2 * math.pi, ("vertex", 1))
     pts = sorted(arc_pair_intersections(a, b), key=lambda p: p[1])
     assert len(pts) == 2
     assert abs(pts[0][0] - 0.5) < 1e-9 and abs(pts[0][1] + math.sqrt(3) / 2) < 1e-9
@@ -543,20 +568,21 @@ def test_two_unit_circles():
 
 
 def test_disjoint_circles():
-    a = make_circle_arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi, ("vertex", 0))
-    b = make_circle_arc((5.0, 0.0), 1.0, 0.0, 2 * math.pi, ("vertex", 1))
+    a = make_ellipse_arc((0.0, 0.0), 1.0, 1.0, 0.0, 0.0, 2 * math.pi, ("vertex", 0))
+    b = make_ellipse_arc((5.0, 0.0), 1.0, 1.0, 0.0, 0.0, 2 * math.pi, ("vertex", 1))
     assert arc_pair_intersections(a, b) == []
 
 
 def test_identical_circles_error():
-    a = make_circle_arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi, ("vertex", 0))
-    b = make_circle_arc((0.0, 0.0), 1.0, 0.5, 1.5, ("vertex", 1))
+    a = make_ellipse_arc((0.0, 0.0), 1.0, 1.0, 0.0, 0.0, 2 * math.pi, ("vertex", 0))
+    b = make_ellipse_arc((0.0, 0.0), 1.0, 1.0, 0.0, 0.5, 1.5, ("vertex", 1))
     with pytest.raises(OverlappingArcsError):
         arc_pair_intersections(a, b)
 
 
 def test_segment_circle_intersections(rng):
-    circle = make_circle_arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi, ("vertex", 0))
+    circle = make_ellipse_arc((0.0, 0.0), 1.0, 1.0, 0.0, 0.0, 2 * math.pi,
+                              ("vertex", 0))
     seg = make_segment_arc((-2.0, 0.3), (2.0, 0.3))
     pts = sorted(arc_pair_intersections(circle, seg))
     x = math.sqrt(1 - 0.09)

@@ -13,7 +13,7 @@ import sys
 
 from .scalar import DEFAULT_TOL
 from . import decision, curves
-from .coverage import triangle_covered
+from .coverage import arrangement_svg
 from .criticals import critical_values_C1, critical_values_2c
 from .formats import (FormatError, RunConfig, load_curve, load_surface,
                       parse_tolerance)
@@ -210,8 +210,7 @@ def run(argv=None):
             if not (0 <= args.k_tri < f.n_triangles):
                 raise FormatError(f"--k-tri {args.k_tri} out of range")
             partners = list(range(g.n_triangles))
-            triangle_covered(f, g, args.k_tri, partners, args.eps, tol,
-                             svg_path=args.svg)
+            arrangement_svg(f, g, args.k_tri, partners, args.eps, args.svg, tol)
         print(json.dumps({"written": args.svg}, sort_keys=True))
         return 0
 

@@ -14,9 +14,6 @@ from .geometry import (OverlappingArcsError, arc_pair_intersections,
                        dist_point_triangle, eps_neighborhood_plane_boundary,
                        frame_of_triangle, make_segment_arc, SLICE_EMPTY)
 
-# Sweep-direction perturbation used when event abscissae collide (fixed,
-# deliberately incommensurate with axis-aligned inputs).
-_PERTURB_ANGLE = 0.0137921830923741
 
 def _point_covered(p, partner_tris, eps, tol):
     for tri in partner_tris:
@@ -25,58 +22,100 @@ def _point_covered(p, partner_tris, eps, tol):
     return False
 
 
-def _triangle_cross_section(tri2d, x):
-    ys = []
-    for i in range(3):
-        a = tri2d[i]
-        b = tri2d[(i + 1) % 3]
-        dx = b[0] - a[0]
-        if dx == 0.0:
-            continue
-        t = (x - a[0]) / dx
-        if 0.0 <= t <= 1.0:
-            ys.append(a[1] + t * (b[1] - a[1]))
-    if len(ys) < 2:
-        return None
-    return min(ys), max(ys)
-
-
-def _collect_events(arcs, tri2d, tol):
-    xs = set(v[0] for v in tri2d)
-    cut_curves = list(arcs)
-    for i in range(3):
-        cut_curves.append(make_segment_arc(tri2d[i], tri2d[(i + 1) % 3]))
-    for arc in cut_curves:
+def _collect_events(curves, tol):
+    """Sorted abscissae of the curves' endpoints, vertical tangents and
+    pairwise intersections."""
+    xs = set()
+    for arc in curves:
         p0, p1 = arc.endpoints()
         xs.add(p0[0])
         xs.add(p1[0])
         for t in arc.x_extreme_params():
             xs.add(arc.point(t)[0])
-    boxes = [c.aabb() for c in cut_curves]
-    for i in range(len(cut_curves)):
+    boxes = [c.aabb() for c in curves]
+    for i in range(len(curves)):
         bi = boxes[i]
-        for j in range(i + 1, len(cut_curves)):
+        for j in range(i + 1, len(curves)):
             bj = boxes[j]
             if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
                 continue
             try:
-                pts = arc_pair_intersections(cut_curves[i], cut_curves[j], tol)
+                pts = arc_pair_intersections(curves[i], curves[j], tol)
             except OverlappingArcsError:
                 # coincident supporting curves: their endpoints suffice as events
-                pts = list(cut_curves[i].endpoints()) + list(cut_curves[j].endpoints())
+                pts = list(curves[i].endpoints()) + list(curves[j].endpoints())
             for p in pts:
                 xs.add(p[0])
-    return sorted(xs), cut_curves
+    return sorted(xs)
 
 
-def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL, svg_path=None):
+def arrangement(tri_img, partner_tris, eps, tol=DEFAULT_TOL):
+    """The arrangement that the partners' eps-neighborhood boundaries cut in
+    an image triangle, in the frame of frame_of_triangle(tri_img).
+
+    Returns (tri2d, arcs, faces): the triangle in plane coordinates, the
+    boundary arcs that reach near it, and a lazy sequence of
+    (point, covered) pairs, one per face piece of each slab, where point is
+    a plane point inside the piece and covered tells whether its image lies
+    in a partner's neighborhood.
+    """
+    frame = frame_of_triangle(tri_img, tol)
+    tri2d = [frame.to_plane(v) for v in tri_img]
+    arcs = []
+    # a negative eps has empty neighborhoods: no arcs, every face uncovered
+    for tri in (partner_tris if eps >= 0.0 else []):
+        sl = eps_neighborhood_plane_boundary(tri, eps, frame, tol)
+        if sl.status != SLICE_EMPTY:
+            arcs.extend(sl.arcs)
+
+    # prune arcs far outside the triangle
+    txlo = min(p[0] for p in tri2d)
+    txhi = max(p[0] for p in tri2d)
+    tylo = min(p[1] for p in tri2d)
+    tyhi = max(p[1] for p in tri2d)
+    pad = 10.0 * tol.gap(max(abs(txlo), abs(txhi), abs(tylo), abs(tyhi)))
+    kept = []
+    for arc in arcs:
+        b = arc.aabb()
+        if b[2] < txlo - pad or b[0] > txhi + pad or b[3] < tylo - pad or b[1] > tyhi + pad:
+            continue
+        kept.append(arc)
+
+    edges = [make_segment_arc(tri2d[i], tri2d[(i + 1) % 3]) for i in range(3)]
+    xs = _collect_events(kept + edges, tol)
+    tiny = 1e-3 * tol.gap(max(abs(txlo), abs(txhi), 1.0))
+
+    def faces():
+        for a, b in zip(xs, xs[1:]):
+            if b - a <= tiny:
+                continue
+            xm = 0.5 * (a + b)
+            section = [y for edge in edges for y in edge.vertical_line_hits(xm)]
+            if len(section) < 2:
+                continue
+            ylo, yhi = min(section), max(section)
+            if yhi - ylo <= tiny:
+                continue
+            cuts = sorted(y for arc in kept for y in arc.vertical_line_hits(xm)
+                          if ylo < y < yhi)
+            levels = [ylo] + cuts + [yhi]
+            for ya, yb in zip(levels, levels[1:]):
+                if yb - ya <= tiny:
+                    continue
+                p = (xm, 0.5 * (ya + yb))
+                yield p, _point_covered(frame.from_plane(p), partner_tris, eps, tol)
+
+    return tri2d, kept, faces()
+
+
+def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL):
     """True iff the image of f's triangle k_tri is contained in the union of
     the eps-neighborhoods of the listed partner triangles of g.
 
     Empty partner lists are uncovered by definition.  Fast paths: a single
     partner whose (convex) neighborhood slice contains all three corners
     covers the triangle; an uncovered probe point refutes coverage without a
-    sweep.
+    sweep.  Otherwise the sweep stops at the first uncovered face.
     """
     tri_img = f.image_triangle(k_tri)
     if not partners:
@@ -88,12 +127,6 @@ def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL, svg_path=None)
     for tri in partner_tris:
         if all(within(dist_point_triangle(c, tri, tol, degenerate_ok=True), eps, tol)
                for c in corners):
-            if svg_path:
-                fr = frame_of_triangle(tri_img, tol)
-                tri2d = [fr.to_plane(v) for v in tri_img]
-                _write_svg(svg_path, tri2d, [],
-                           [(fr.to_plane(c), True) for c in corners],
-                           note="fast-cover")
             return True
 
     # cheap refutation probes: corners, edge midpoints, centroid
@@ -102,78 +135,12 @@ def triangle_covered(f, g, k_tri, partners, eps, tol=DEFAULT_TOL, svg_path=None)
         a, b = tri_img[i], tri_img[(i + 1) % 3]
         probes.append(tuple((x + y) / 2.0 for x, y in zip(a, b)))
     probes.append(tuple((a + b + c) / 3.0 for a, b, c in zip(*tri_img)))
-    frame0 = frame_of_triangle(tri_img, tol)
     for p in probes:
         if not _point_covered(p, partner_tris, eps, tol):
-            if svg_path:
-                tri2d = [frame0.to_plane(v) for v in tri_img]
-                _write_svg(svg_path, tri2d, [], [(frame0.to_plane(p), False)],
-                           note="fast-uncovered")
             return False
 
-    frame = frame0
-    for attempt in range(2):
-        if attempt == 1:
-            frame = frame.rotated(_PERTURB_ANGLE)
-        tri2d = [frame.to_plane(v) for v in tri_img]
-        arcs = []
-        for l, tri in zip(partners, partner_tris):
-            sl = eps_neighborhood_plane_boundary(tri, eps, frame, tol)
-            if sl.status == SLICE_EMPTY:
-                continue
-            arcs.extend(sl.arcs)
-
-        # prune arcs far outside the triangle
-        txlo = min(p[0] for p in tri2d)
-        txhi = max(p[0] for p in tri2d)
-        tylo = min(p[1] for p in tri2d)
-        tyhi = max(p[1] for p in tri2d)
-        pad = 10.0 * tol.gap(max(abs(txlo), abs(txhi), abs(tylo), abs(tyhi)))
-        kept = []
-        for arc in arcs:
-            b = arc.aabb()
-            if b[2] < txlo - pad or b[0] > txhi + pad or b[3] < tylo - pad or b[1] > tyhi + pad:
-                continue
-            kept.append(arc)
-        arcs = kept
-
-        xs, cut_curves = _collect_events(arcs, tri2d, tol)
-        gap = tol.gap(max(abs(txlo), abs(txhi), 1.0))
-        if attempt == 0 and any(0.0 < (b - a) <= gap for a, b in zip(xs, xs[1:])):
-            continue  # near-coincident events: perturb the sweep direction
-
-        faces = []
-        uncovered = None
-        for a, b in zip(xs, xs[1:]):
-            if b - a <= gap * 1e-3:
-                continue
-            xm = 0.5 * (a + b)
-            section = _triangle_cross_section(tri2d, xm)
-            if section is None:
-                continue
-            ylo, yhi = section
-            if yhi - ylo <= gap * 1e-3:
-                continue
-            cuts = []
-            for curve in cut_curves:
-                for y in curve.vertical_line_hits(xm):
-                    if ylo < y < yhi:
-                        cuts.append(y)
-            levels = [ylo] + sorted(cuts) + [yhi]
-            for ya, yb in zip(levels, levels[1:]):
-                if yb - ya <= gap * 1e-3:
-                    continue
-                rep2 = (xm, 0.5 * (ya + yb))
-                rep = frame.from_plane(rep2)
-                ok = _point_covered(rep, partner_tris, eps, tol)
-                faces.append((rep2, ok))
-                if not ok and uncovered is None:
-                    uncovered = rep2
-                    if not svg_path:
-                        return False
-        if svg_path:
-            _write_svg(svg_path, tri2d, arcs, faces)
-        return uncovered is None
+    _, _, faces = arrangement(tri_img, partner_tris, eps, tol)
+    return all(covered for _, covered in faces)
 
 
 class CoverageRecord:
@@ -234,20 +201,18 @@ def component_extensive(component, f, g, eps, tol=DEFAULT_TOL, *, record=None):
     return True
 
 
-# ---------------------------------------------------------------------------
-# SVG debugging output
-# ---------------------------------------------------------------------------
-
-def _write_svg(path, tri2d, arcs, faces, note=None):
-    """Render a triangle arrangement: boundary arcs plus one dot per face,
-    green when covered, red when not."""
+def arrangement_svg(f, g, k_tri, partners, eps, path, tol=DEFAULT_TOL):
+    """Draw the arrangement of f's triangle k_tri under the listed partner
+    triangles of g, in the triangle's own frame: the triangle, the boundary
+    arcs and one dot per face, green when covered, red when not."""
+    tri2d, arcs, faces = arrangement(f.image_triangle(k_tri),
+                                     [g.image_triangle(l) for l in partners],
+                                     eps, tol)
+    faces = list(faces)
     pts = list(tri2d)
     for a in arcs:
         pts.extend(a.sample(8))
-    for p, _ in faces:
-        pts.append(p)
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
+    pts.extend(p for p, _ in faces)
     xlo = min(p[0] for p in pts)
     xhi = max(p[0] for p in pts)
     ylo = min(p[1] for p in pts)
@@ -259,14 +224,11 @@ def _write_svg(path, tri2d, arcs, faces, note=None):
     def tx(p):
         return ((p[0] - xlo) * s + 20.0, (yhi - p[1]) * s + 20.0)
 
+    d = " ".join(f"{tx(p)[0]:.2f},{tx(p)[1]:.2f}" for p in tri2d)
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(w*s)+40}" '
-             f'height="{int(h*s)+40}">']
-    if note:
-        lines.append(f'<!-- {note} -->')
-    if tri2d:
-        d = " ".join(f"{tx(p)[0]:.2f},{tx(p)[1]:.2f}" for p in tri2d)
-        lines.append(f'<polygon points="{d}" fill="none" stroke="black" stroke-width="1.5"/>')
+             f'height="{int(h*s)+40}">',
+             f'<polygon points="{d}" fill="none" stroke="black" stroke-width="1.5"/>']
     for a in arcs:
         samp = [tx(p) for p in a.sample(48 if a.kind != "segment" else 2)]
         d = " ".join(f"{x:.2f},{y:.2f}" for x, y in samp)

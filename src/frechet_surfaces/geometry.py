@@ -297,7 +297,7 @@ def dist_triangle_triangle(t1, t2, tol=DEFAULT_TOL, degenerate_ok=False):
 @dataclass(frozen=True)
 class Plane2Frame:
     """Orthonormal 2D coordinate frame spanning a plane in R^d.  The basis is
-    checked for orthonormality under `tol`, which rotated frames keep."""
+    checked for orthonormality under `tol`."""
 
     origin: tuple
     b1: tuple
@@ -339,12 +339,6 @@ class Plane2Frame:
         """
         return (vdot(grad, self.b1), vdot(grad, self.b2),
                 value_at_origin + vdot(grad, self.origin))
-
-    def rotated(self, angle):
-        c, s = math.cos(angle), math.sin(angle)
-        nb1 = vadd(vscale(self.b1, c), vscale(self.b2, s))
-        nb2 = vadd(vscale(self.b1, -s), vscale(self.b2, c))
-        return Plane2Frame(self.origin, nb1, nb2, self.tol)
 
 
 def frame_of_triangle(tri, tol=DEFAULT_TOL):
@@ -964,7 +958,7 @@ def conics_identical(c1, c2, tol=DEFAULT_TOL):
     n2 = _normalize_coeffs(c2)
     if n1 is None or n2 is None:
         return False
-    return all(abs(a - b) <= 1e-9 for a, b in zip(n1, n2))
+    return all(abs(a - b) <= tol.rel for a, b in zip(n1, n2))
 
 
 def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):

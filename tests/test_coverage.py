@@ -1,9 +1,12 @@
 import numpy as np
 
-from frechet_surfaces import build_graph, component_extensive, triangle_covered
-from frechet_surfaces.coverage import CoverageRecord
+from frechet_surfaces import (build_graph, component_extensive, coverage,
+                              triangle_covered)
+from frechet_surfaces.coverage import (CoverageRecord, arrangement,
+                                       arrangement_svg)
 from frechet_surfaces.geometry import dist_triangle_triangle
-from .conftest import flat_surface, random_surface_pair, translate_surface
+from .conftest import (bumped_grid_surface, flat_surface, grid_triangulation,
+                       random_surface_pair, translate_surface)
 from .oracles import mc_triangle_covered
 
 
@@ -48,7 +51,23 @@ def test_coverage_monotone_in_partners_and_eps(rng):
             assert triangle_covered(f, g, k, all_partners, eps2)
 
 
-def test_coverage_vs_monte_carlo(rng):
+def _flat_grid_pair(rng):
+    """A flat grid in R^2 against a translated grid: round shifts make sweep
+    events coincide, as axis-aligned inputs do."""
+    rows, cols = (int(n) for n in rng.integers(1, 3, size=2))
+    f = flat_surface(grid_triangulation(rows, cols), d=2)
+    g = flat_surface(grid_triangulation(cols, rows), d=2)
+    shift = rng.choice([-0.25, 0.0, 0.125, 0.25, 0.5], size=2)
+    return f, translate_surface(g, tuple(float(c) for c in shift))
+
+
+def _bumped_grid_pair(rng):
+    shift = tuple(float(c) for c in rng.uniform(-0.3, 0.3, size=3))
+    return (bumped_grid_surface(2, 2, 0.25, (0.0, 0.0, 0.0)),
+            bumped_grid_surface(2, 2, float(rng.uniform(0.1, 0.3)), shift))
+
+
+def test_coverage_vs_monte_carlo(rng, monkeypatch):
     checked = 0
     attempts = 0
     while checked < 60 and attempts < 400:
@@ -66,6 +85,54 @@ def test_coverage_vs_monte_carlo(rng):
         assert verdict == verdict_mc, (k, partners, eps)
         checked += 1
     assert checked >= 60
+
+    # axis-aligned and bumped grids; the partners are the triangles within
+    # eps, as in a free-space cell, so that some queries need the sweep
+    sweeps = []
+    orig = coverage.arrangement
+
+    def counted(*args):
+        sweeps.append(args)
+        return orig(*args)
+    monkeypatch.setattr(coverage, "arrangement", counted)
+    for make_pair in (_flat_grid_pair, _bumped_grid_pair):
+        checked = 0
+        swept = []  # the verdicts of the checked queries that reached the sweep
+        attempts = 0
+        while checked < 40 and attempts < 400:
+            attempts += 1
+            f, g = make_pair(rng)
+            k = int(rng.integers(0, f.n_triangles))
+            eps = float(rng.uniform(0.05, 0.6))
+            tri = f.image_triangle(k)
+            partners = [l for l in range(g.n_triangles)
+                        if dist_triangle_triangle(tri, g.image_triangle(l)) <= eps]
+            if not partners:
+                continue
+            verdict_mc, margin = mc_triangle_covered(f, g, k, partners, eps, rng=rng)
+            if margin <= 1e-6:
+                continue
+            before = len(sweeps)
+            verdict = triangle_covered(f, g, k, partners, eps)
+            assert verdict == verdict_mc, (make_pair.__name__, k, partners, eps)
+            if len(sweeps) > before:
+                swept.append(verdict)
+            checked += 1
+        assert checked >= 40
+        assert True in swept, make_pair.__name__
+
+    # a hole that no probe point finds: a finer grid over the square, less
+    # the two triangles of one cell, so only the sweep refutes coverage
+    f = flat_surface(d=2)
+    g = flat_surface(grid_triangulation(4, 4), d=2)
+    tri = f.image_triangle(0)
+    partners = [l for l in range(g.n_triangles) if l not in (2, 3)
+                and dist_triangle_triangle(tri, g.image_triangle(l)) <= 0.02]
+    verdict_mc, margin = mc_triangle_covered(f, g, 0, partners, 0.02, rng=rng)
+    assert margin > 1e-6 and not verdict_mc
+    before = len(sweeps)
+    assert not triangle_covered(f, g, 0, partners, 0.02)
+    assert len(sweeps) == before + 1
 
 
 def test_component_extensive_identity():
@@ -169,7 +236,13 @@ def test_record_keeps_every_entry():
 def test_svg_dump(tmp_path, rng):
     import xml.etree.ElementTree as ET
     f, g = random_surface_pair(rng, tri_range=(4, 5))
+    partners = list(range(g.n_triangles))
     path = tmp_path / "arr.svg"
-    triangle_covered(f, g, 0, list(range(g.n_triangles)), 0.5, svg_path=str(path))
-    tree = ET.parse(path)
-    assert tree.getroot().tag.endswith("svg")
+    arrangement_svg(f, g, 0, partners, 0.5, str(path))
+    root = ET.parse(path).getroot()
+    assert root.tag.endswith("svg")
+    dots = [el.get("fill") for el in root.iter() if el.get("class") == "face"]
+    _, _, faces = arrangement(f.image_triangle(0),
+                              [g.image_triangle(l) for l in partners], 0.5)
+    assert dots == ["#2a2" if covered else "#c22" for _, covered in faces]
+    assert ("#c22" not in dots) == triangle_covered(f, g, 0, partners, 0.5)

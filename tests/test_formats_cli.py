@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import frechet_surfaces
+from frechet_surfaces import Surface
 from frechet_surfaces.cli import main
 from frechet_surfaces.formats import (FormatError, curve_from_dict, load_surface,
                                       save_surface, parse_tolerance,
@@ -122,6 +125,40 @@ def test_validate_ok_and_exit_codes(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert json.loads(lines[0])["config"]["tolerance"]["rel"] == 1e-9
     assert json.loads(lines[1])["valid"] is True
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e154])
+def test_extreme_scale_reported_by_magnitude(tmp_path, capsys, scale):
+    # the degeneracy test under- or overflows; the triangles are not degenerate
+    p = write_surface(tmp_path / "s.json", flat_surface(scale=scale))
+    code, out, _ = run_cli(["validate", p], capsys)
+    assert code == 1
+    violations = json.loads(out.strip().splitlines()[1])["violations"]
+    assert violations == [
+        f"image triangle {ti} spans {scale:.3g}, outside the range where its "
+        f"degeneracy test can be evaluated in double precision" for ti in (0, 1)]
+    code, _, err = run_cli(["decide", p, p, "--eps", "0"], capsys)
+    assert code == 2
+    assert violations[0] in err and "degenerate image" not in err
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1e150])
+def test_large_and_small_scales_stay_valid(tmp_path, capsys, scale):
+    p = write_surface(tmp_path / "s.json", flat_surface(scale=scale))
+    code, out, _ = run_cli(["validate", p], capsys)
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[1])["valid"] is True
+
+
+def test_degenerate_tiny_triangle_still_degenerate(tmp_path, capsys):
+    # a collinear image at 1e-100 is degenerate, not out of range
+    param = flat_surface().param
+    s = Surface.create(param, [(0.0, 0.0, 0.0), (1e-100, 0.0, 0.0),
+                               (2e-100, 0.0, 0.0), (0.0, 1e-100, 0.0)])
+    p = write_surface(tmp_path / "s.json", s)
+    code, out, _ = run_cli(["validate", p], capsys)
+    assert code == 1
+    assert "degenerate image triangle at index 0" in out
 
 
 def test_validate_invalid_exit_1(tmp_path, capsys):
@@ -330,16 +367,15 @@ def test_dump_svg_arrangement_face_count(tmp_path, capsys):
                           "--k-tri", "0", "--svg", str(out_svg)], capsys)
     assert code == 0
     root = ET.parse(out_svg).getroot()
-    dots = [el for el in root.iter() if el.get("class") == "face"]
-    # independent face count from the sweep machinery itself
-    from frechet_surfaces.coverage import triangle_covered
-    faces = []
-    triangle_covered(f, g, 0, list(range(g.n_triangles)), 0.4,
-                     svg_path=str(tmp_path / "arr2.svg"))
-    root2 = ET.parse(tmp_path / "arr2.svg").getroot()
-    dots2 = [el for el in root2.iter() if el.get("class") == "face"]
-    assert len(dots) == len(dots2)
+    dots = [el.get("fill") for el in root.iter() if el.get("class") == "face"]
+    # the dump draws every face of the arrangement, coloured by its verdict
+    from frechet_surfaces.coverage import arrangement, triangle_covered
+    partners = list(range(g.n_triangles))
+    _, _, faces = arrangement(f.image_triangle(0),
+                              [g.image_triangle(l) for l in partners], 0.4)
+    assert len(dots) == len(list(faces))
     assert dots
+    assert ("#c22" not in dots) == triangle_covered(f, g, 0, partners, 0.4)
 
 
 def test_decide_matches_library_on_random_pairs(tmp_path, capsys, rng):
@@ -371,8 +407,12 @@ def test_console_entry_point(tmp_path):
     s = flat_surface()
     p = tmp_path / "s.json"
     save_surface(s, str(p))
+    # the child finds the package where this process imported it from
+    package_parent = os.path.dirname(os.path.dirname(frechet_surfaces.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_parent + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-m", "frechet_surfaces.cli",
                            "validate", str(p)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "true" in proc.stdout.lower() or "valid" in proc.stdout

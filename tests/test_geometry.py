@@ -21,7 +21,8 @@ from frechet_surfaces.geometry import (FEATURES, GeometryError,
                                        closest_point_triangle,
                                        closest_segment_segment,
                                        conic_conic_points, conic_value,
-                                       conic_y_resultant, dist_point_triangle,
+                                       conic_y_resultant, conics_identical,
+                                       dist_point_triangle,
                                        dist_segment_triangle,
                                        dist_triangle_triangle,
                                        eps_neighborhood_plane_boundary,
@@ -359,10 +360,10 @@ def test_plane_frame_uses_caller_tolerance():
     loose = Tolerance(rel=1e-6)
     b1 = (1.0 + 1e-7, 0.0, 0.0)
     frame = Plane2Frame((0.0, 0.0, 0.0), b1, (0.0, 1.0, 0.0), loose)
-    assert frame.rotated(0.3).tol == loose
+    assert frame.tol == loose
     with pytest.raises(GeometryError):
         Plane2Frame((0.0, 0.0, 0.0), b1, (0.0, 1.0, 0.0))
-    assert frame_of_triangle(TRI, loose).rotated(0.3).tol == loose
+    assert frame_of_triangle(TRI, loose).tol == loose
 
 
 def test_plane_too_far_is_empty():
@@ -552,6 +553,16 @@ def test_conic_y_resultant_vanishes_at_intersections(rng, y_squared):
         pts = conic_conic_points(c1, c2, -1.5, 1.5)
         for r in (p, q):
             assert min(math.dist(r, s) for s in pts) < 1e-6
+
+
+def test_conics_identical_uses_tolerance():
+    from frechet_surfaces import Tolerance
+    c1 = (1.0, 0.2, 2.0, -0.5, 0.3, -1.0)
+    # the same conic scaled by -3, with its largest coefficient off by 1e-8
+    c2 = tuple(-3.0 * c for c in (1.0, 0.2, 2.0 * (1.0 + 1e-8), -0.5, 0.3, -1.0))
+    assert conics_identical(c1, tuple(-3.0 * c for c in c1))
+    assert not conics_identical(c1, c2)
+    assert conics_identical(c1, c2, Tolerance(rel=1e-7))
 
 
 # ---------------------------------------------------------------------------

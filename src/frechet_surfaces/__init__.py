@@ -12,7 +12,6 @@ Core entry points:
 from .scalar import Tolerance, DEFAULT_TOL, Ordering, cmp, real_roots
 from .geometry import (ConicArc, GeometryError, Plane2Frame,
                        arc_pair_intersections, dist_point_triangle,
-                       dist_segment_triangle, dist_triangle_triangle,
                        eps_neighborhood_plane_boundary, frame_of_triangle)
 from .surface import (ParamTriangulation, Surface, ValidationError,
                       barycentric_subdivide, eval_surface, lipschitz_constant,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tolerance", "DEFAULT_TOL", "Ordering", "cmp", "real_roots",
     "ConicArc", "GeometryError", "Plane2Frame", "arc_pair_intersections",
-    "dist_point_triangle", "dist_segment_triangle", "dist_triangle_triangle",
+    "dist_point_triangle",
     "eps_neighborhood_plane_boundary", "frame_of_triangle",
     "ParamTriangulation", "Surface", "ValidationError",
     "barycentric_subdivide", "eval_surface", "lipschitz_constant",

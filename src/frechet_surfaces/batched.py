@@ -1,8 +1,10 @@
-"""Batched minimum distances, equal to the scalar routines of geometry.py bit
-for bit, and the distance tables of a surface pair built from them.
+"""Batched minimum distances, equal to scalar routines bit for bit, and the
+distance tables of a surface pair built from them.
 
 Each batch_* kernel is an elementwise transcription of the scalar routine of
-the same name (Ericson, Real-Time Collision Detection, ch. 5).  A point is a
+the same name (Ericson, Real-Time Collision Detection, ch. 5): those of
+geometry.py, and for segment/triangle and triangle/triangle distances the
+scalar references kept with the tests (tests/oracles.py).  A point is a
 tuple of coordinate arrays that broadcast together, so vsub, vadd, vscale,
 vdot, vlerp and vcross3 apply to it unchanged and keep the scalar order of
 operations; a norm is np.sqrt of vdot (math.sqrt is correctly rounded too);

@@ -277,13 +277,45 @@ def _point_in_triangle_2d(p, tri2d, slack):
     return True
 
 
+def _certified_root_free(polys, xlo, xhi):
+    """Which rows (polynomials lowest degree first, largest coefficient 1)
+    certainly have no root in their interval [xlo, xhi]: every coefficient of
+    the polynomial in the Bernstein basis of the interval lies beyond 1e-6 * S
+    on one side of zero, with S = sum |c_k| max(1, |xlo|, |xhi|)^k.
+
+    By the convex-hull property |p| > 1e-6 * S then holds on the interval.
+    A root that the companion-matrix solve reports there has a residual of
+    about 1e-15 * S, and the real part of a pair it accepts as real one of
+    about 1e-12 * S, so such a row yields no root either way."""
+    d = polys.shape[1] - 1
+    powers = np.arange(d + 1)
+    with np.errstate(all="ignore"):
+        big = np.maximum(1.0, np.maximum(np.abs(xlo), np.abs(xhi)))
+        bound = 1e-6 * (np.abs(polys) * big[:, None] ** powers).sum(axis=1)
+        # Taylor shift to xlo, then scale the interval to [0, 1]
+        t = polys.copy()
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                t[:, j] += xlo * t[:, j + 1]
+        t *= (xhi - xlo)[:, None] ** powers
+        above = np.ones(len(polys), dtype=bool)
+        below = np.ones(len(polys), dtype=bool)
+        for i in range(d + 1):
+            b = sum(math.comb(i, j) / math.comb(d, j) * t[:, j] for j in range(i + 1))
+            above &= b > bound
+            below &= b < -bound
+    return above | below
+
+
 def _batched_poly_roots(coeffs, xlo, xhi):
     """Real roots of many low-degree polynomials (rows, lowest degree first),
     restricted to per-row intervals [xlo, xhi].
 
     Returns (rows, xs) arrays.  Rows are normalized, trimmed by magnitude and
     solved per effective degree: closed form up to degree 2, companion-matrix
-    eigenvalues for degrees 3 and 4."""
+    eigenvalues for degrees 3 and 4, skipping the rows that
+    _certified_root_free clears.  Each row's roots do not depend on the
+    other rows of the call."""
     n, width = coeffs.shape
     rows_out = []
     xs_out = []
@@ -304,9 +336,12 @@ def _batched_poly_roots(coeffs, xlo, xhi):
 
     for d in (3, 4):
         rows = np.where(degs == d)[0]
+        sub = norm[rows][:, : d + 1]
+        solve = ~_certified_root_free(sub, xlo[rows], xhi[rows])
+        rows = rows[solve]
         if len(rows) == 0:
             continue
-        sub = norm[rows][:, : d + 1]
+        sub = sub[solve]
         comp = np.zeros((len(rows), d, d))
         comp[:, 1:, :-1] = np.eye(d - 1)
         comp[:, :, -1] = -sub[:, :d] / sub[:, d:d + 1]
@@ -383,6 +418,11 @@ def _feature_ranges(geometry, q_on_f, q, i):
     return ranges
 
 
+# the feature rows of whole triples are solved together until a batch holds
+# at least this many
+_BATCH_ROWS = 1024
+
+
 def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
                                tol=DEFAULT_TOL):
     """Equidistance values of triangle triples within an image triangle.
@@ -393,12 +433,16 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
 
     At a triple point with a value in [lo, hi] that value lies in the range
     of each triangle's nearest feature, so a feature whose range misses
-    [lo, hi] and a feature combination whose three ranges do not overlap are
-    dropped (within a pad far above the verification slack).  For each
-    remaining combination the two pairwise bisectors of the squared distance
-    conics are intersected; the x-resultants of all combinations are solved
-    in one batch, and every surviving point is verified against the true
-    triangle distances before its common value is reported."""
+    [lo, hi] and a feature row (one feature of each triangle) whose three
+    ranges do not overlap are dropped (within a pad far above the
+    verification slack), as are rows whose hi-padded feature boxes miss each
+    other or the triangle.  Every two ranges or boxes of a row overlap
+    exactly when all of them do, so the rows of a triple are read off masks
+    over pairs of (triangle, feature) nodes.  For each row the two pairwise
+    bisectors of the squared distance conics are intersected; the
+    x-resultants of the rows of several triples are solved in one batch, and
+    every surviving point is verified against the true triangle distances
+    before its common value is reported."""
     out = []
     txs = [p[0] for p in tri2d]
     tys = [p[1] for p in tri2d]
@@ -425,49 +469,49 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
             conic_arr[a, fi] = c
             box_arr[a, fi] = _feature_bbox(frame, tri, feat, hi * 1.0001)
     alive = [a for a in range(n_others) if not np.isnan(conic_arr[a, :, 0]).all()]
+    if len(alive) < 3:
+        return out
 
-    fi_g, fj_g, fk_g = np.meshgrid(np.arange(n_feat), np.arange(n_feat),
-                                   np.arange(n_feat), indexing="ij")
-    fi_g = fi_g.ravel()
-    fj_g = fj_g.ravel()
-    fk_g = fk_g.ravel()
+    # node a * n_feat + f is feature f of others[a]; NaN (a dead feature)
+    # fails every comparison
+    conic = conic_arr.reshape(-1, 6)
+    box = box_arr.reshape(-1, 4)
+    lb = lb_arr.ravel()
+    ub_pad = ub_arr.ravel() + pad
+    with np.errstate(invalid="ignore"):
+        unary = ((box[:, 0] <= box[:, 2]) & (box[:, 1] <= box[:, 3])
+                 & (box[:, 0] <= tri_box[2]) & (tri_box[0] <= box[:, 2])
+                 & (box[:, 1] <= tri_box[3]) & (tri_box[1] <= box[:, 3])
+                 & (lb <= ub_pad))
+        meet_x = box[:, None, 0] <= box[None, :, 2]
+        meet_y = box[:, None, 1] <= box[None, :, 3]
+        meet_r = lb[:, None] <= ub_pad[None, :]
+        meet = (meet_x & meet_x.T & meet_y & meet_y.T & meet_r & meet_r.T
+                & unary[:, None] & unary[None, :])
+        # max over the coefficients of |Cu - Cv|, NaN propagating like np.max
+        diff = np.abs(conic[:, None, 0] - conic[None, :, 0])
+        for c in range(1, 6):
+            np.maximum(diff, np.abs(conic[:, None, c] - conic[None, :, c]), out=diff)
+    split = meet & (diff > 1e-12)
+    # [a, b, f, g]: nodes (a, f) and (b, g)
+    meet = meet.reshape(n_others, n_feat, n_others, n_feat).transpose(0, 2, 1, 3)
+    split = split.reshape(n_others, n_feat, n_others, n_feat).transpose(0, 2, 1, 3)
 
-    for (ia, ib, ic) in combinations(alive, 3):
-        i, tri_i = others[ia]
-        j, tri_j = others[ib]
-        k, tri_k = others[ic]
-        Ci = conic_arr[ia][fi_g]
-        Cj = conic_arr[ib][fj_g]
-        Ck = conic_arr[ic][fk_g]
-        # intersect the three hi-padded feature boxes with the triangle box
-        blo_x = np.maximum.reduce([box_arr[ia][fi_g, 0], box_arr[ib][fj_g, 0],
-                                   box_arr[ic][fk_g, 0], np.full(len(fi_g), tri_box[0])])
-        bhi_x = np.minimum.reduce([box_arr[ia][fi_g, 2], box_arr[ib][fj_g, 2],
-                                   box_arr[ic][fk_g, 2], np.full(len(fi_g), tri_box[2])])
-        blo_y = np.maximum.reduce([box_arr[ia][fi_g, 1], box_arr[ib][fj_g, 1],
-                                   box_arr[ic][fk_g, 1], np.full(len(fi_g), tri_box[1])])
-        bhi_y = np.minimum.reduce([box_arr[ia][fi_g, 3], box_arr[ib][fj_g, 3],
-                                   box_arr[ic][fk_g, 3], np.full(len(fi_g), tri_box[3])])
-        lb_max = np.maximum.reduce([lb_arr[ia][fi_g], lb_arr[ib][fj_g],
-                                    lb_arr[ic][fk_g]])
-        ub_min = np.minimum.reduce([ub_arr[ia][fi_g], ub_arr[ib][fj_g],
-                                    ub_arr[ic][fk_g]])
-        C1 = Ci - Cj
-        C2 = Ci - Ck
-        with np.errstate(invalid="ignore"):
-            keep = ((blo_x <= bhi_x) & (blo_y <= bhi_y) & (lb_max <= ub_min + pad)
-                    & ~np.isnan(C1).any(axis=1) & ~np.isnan(C2).any(axis=1)
-                    & (np.abs(C1).max(axis=1) > 1e-12)
-                    & (np.abs(C2).max(axis=1) > 1e-12))
-        if not keep.any():
-            continue
-        kept = np.flatnonzero(keep)
-        C1 = C1[keep]
-        C2 = C2[keep]
-        xlo = blo_x[keep] - slack
-        xhi = bhi_x[keep] + slack
-        ylo = blo_y[keep] - slack
-        yhi = bhi_y[keep] + slack
+    def solve(batch):
+        """Verified values of the rows of the (triple, u, v, w) of `batch`,
+        triple by triple, each triple's roots in the order of its rows."""
+        tid = np.repeat(np.arange(len(batch)), [len(b[1]) for b in batch])
+        u, v, w = (np.concatenate([b[n] for b in batch]) for n in (1, 2, 3))
+        C1 = conic[u] - conic[v]
+        C2 = conic[u] - conic[w]
+        blo_x, blo_y, bhi_x, bhi_y = (
+            red([box[u, m], box[v, m], box[w, m], np.full(len(u), tri_box[m])])
+            for red, m in ((np.maximum.reduce, 0), (np.maximum.reduce, 1),
+                           (np.minimum.reduce, 2), (np.minimum.reduce, 3)))
+        xlo = blo_x - slack
+        xhi = bhi_x + slack
+        ylo = blo_y - slack
+        yhi = bhi_y + slack
 
         quartic, cubic = conic_y_resultant(C1.T, C2.T)
         res = np.stack(quartic, axis=1)
@@ -475,9 +519,16 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
         both_linear = (np.abs(C1[:, 2]) <= 1e-12) & (np.abs(C2[:, 2]) <= 1e-12)
         polys = np.where(both_linear[:, None],
                          np.hstack([cubic, np.zeros((len(cubic), 1))]), res)
-        seen = set()
         root_rows, root_xs = _batched_poly_roots(polys, xlo, xhi)
-        for row, x in zip(root_rows, root_xs):
+        order = np.argsort(tid[root_rows], kind="stable")
+        last = None
+        for row, x in zip(root_rows[order], root_xs[order]):
+            if tid[row] != last:
+                last = tid[row]
+                (ia, ib, ic), seen = batch[last][0], set()
+                i, tri_i = others[ia]
+                j, tri_j = others[ib]
+                k, tri_k = others[ic]
             c1 = tuple(C1[row])
             c2 = tuple(C2[row])
             ys = _y_on_conic(c1, x, tol) if abs(c1[2]) >= abs(c2[2]) \
@@ -507,16 +558,30 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
                     continue
                 # where the three triangles share a nearest feature, a root
                 # of an unrelated row is equidistant too
-                src = kept[row]
-                feats = ((tri_i, ia, fi_g[src], di), (tri_j, ib, fj_g[src], dj),
-                         (tri_k, ic, fk_g[src], dk))
-                if not all(_is_nearest_feature(p3, (x, y), tri, FEATURES[fa],
-                                               conic_arr[a, fa], d, slack_d)
-                           for tri, a, fa, d in feats):
+                feats = ((tri_i, u[row], di), (tri_j, v[row], dj), (tri_k, w[row], dk))
+                if not all(_is_nearest_feature(p3, (x, y), tri, FEATURES[node % n_feat],
+                                               conic[node], d, slack_d)
+                           for tri, node, d in feats):
                     continue
                 val = (di + dj + dk) / 3.0
                 if lo - tol.gap(val) <= val <= hi + tol.gap(val):
                     out.append((val, (i, j, k)))
+
+    batch, n_rows = [], 0
+    for (ia, ib, ic) in combinations(alive, 3):
+        # rows (f, g, h) in lexicographic order
+        fi, fj, fk = np.nonzero(split[ia, ib][:, :, None] & split[ia, ic][:, None, :]
+                                & meet[ib, ic][None, :, :])
+        if len(fi) == 0:
+            continue
+        batch.append(((ia, ib, ic), ia * n_feat + fi, ib * n_feat + fj,
+                      ic * n_feat + fk))
+        n_rows += len(fi)
+        if n_rows >= _BATCH_ROWS:
+            solve(batch)
+            batch, n_rows = [], 0
+    if batch:
+        solve(batch)
     return out
 
 

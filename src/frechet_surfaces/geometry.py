@@ -91,20 +91,55 @@ def cross_norm(a, b):
     return vnorm(vcross3(a, b))
 
 
-def triangle_area(tri):
-    return 0.5 * cross_norm(vsub(tri[1], tri[0]), vsub(tri[2], tri[0]))
-
-
 def triangle_scale(tri):
     return max(vdist(tri[0], tri[1]), vdist(tri[1], tri[2]), vdist(tri[2], tri[0]))
+
+
+def _area_test(edges, rel):
+    """Whether a triangle with edge vectors q-p, r-p, r-q has an area of at
+    most rel times its longest edge squared."""
+    scale = max(vnorm(e) for e in edges)
+    return 0.5 * cross_norm(edges[0], edges[1]) <= rel * scale * scale
+
+
+def triangle_shape(tri, rel):
+    """(shape, span) of a triangle, span the largest coordinate difference of
+    its vertices and shape "degenerate" when its area is at most rel times
+    its longest edge squared, "range" when it is not but its scale puts that
+    test out of double precision, and "proper" otherwise.
+
+    The test squares lengths twice, so on raw coordinates far from unit
+    scale it under- or overflows.  It is decided on the edge vectors scaled
+    by a power of two into [0.5, 1), which is exact; a proper triangle is
+    "range" when the same test on its raw edges would call it degenerate,
+    which can happen only when the power of two is beyond 2^200 either way."""
+    p, q, r = tri
+    edges = (vsub(q, p), vsub(r, p), vsub(r, q))
+    span = max(abs(c) for e in edges for c in e)
+    if span == 0.0:
+        return "degenerate", span
+    if not math.isfinite(span):
+        return "range", span
+    k = math.frexp(span)[1]
+    if _area_test([[math.ldexp(c, -k) for c in e] for e in edges], rel):
+        return "degenerate", span
+    if abs(k) > 200 and _area_test(edges, rel):
+        return "range", span
+    return "proper", span
+
+
+RANGE_MESSAGE = ("outside the range where its degeneracy test can be evaluated "
+                 "in double precision")
 
 
 def check_triangle(tri, tol=DEFAULT_TOL, degenerate_ok=False):
     if degenerate_ok:
         return
-    s = triangle_scale(tri)
-    if s == 0.0 or triangle_area(tri) <= tol.rel * s * s:
+    shape, span = triangle_shape(tri, tol.rel)
+    if shape == "degenerate":
         raise GeometryError("degenerate triangle (zero area)")
+    if shape == "range":
+        raise GeometryError(f"triangle spans {span:.3g}, {RANGE_MESSAGE}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,71 +258,6 @@ def closest_segment_segment(p1, q1, p2, q2):
     pa = vadd(p1, vscale(d1, s))
     pb = vadd(p2, vscale(d2, t))
     return vdist(pa, pb), s, t
-
-
-def segment_crosses_triangle(a, b, tri):
-    """True when segment [a, b] meets the closed triangle (d=3 proper crossing;
-    coplanar contact is resolved by the edge/vertex distance terms instead)."""
-    if len(a) == 2:
-        return False
-    u = vsub(tri[1], tri[0])
-    v = vsub(tri[2], tri[0])
-    n = vcross3(u, v)
-    nn = vnorm(n)
-    if nn == 0.0:
-        return False
-    da = vdot(n, vsub(a, tri[0]))
-    db = vdot(n, vsub(b, tri[0]))
-    if (da > 0.0 and db > 0.0) or (da < 0.0 and db < 0.0):
-        return False
-    denom = da - db
-    if denom == 0.0:
-        return False  # coplanar; handled elsewhere
-    t = da / denom
-    p = vlerp(a, b, t)
-    # barycentric inside test
-    w = vsub(p, tri[0])
-    uu = vdot(u, u)
-    uv = vdot(u, v)
-    vv = vdot(v, v)
-    wu = vdot(w, u)
-    wv = vdot(w, v)
-    det = uu * vv - uv * uv
-    if det == 0.0:
-        return False
-    s = (vv * wu - uv * wv) / det
-    r = (uu * wv - uv * wu) / det
-    return s >= 0.0 and r >= 0.0 and s + r <= 1.0
-
-
-def dist_segment_triangle(seg, tri, tol=DEFAULT_TOL, degenerate_ok=False):
-    check_triangle(tri, tol, degenerate_ok)
-    a, b = seg
-    if segment_crosses_triangle(a, b, tri):
-        return 0.0
-    best = min(dist_point_triangle(a, tri, tol, True),
-               dist_point_triangle(b, tri, tol, True))
-    for i in range(3):
-        d, _, _ = closest_segment_segment(a, b, tri[i], tri[(i + 1) % 3])
-        if d < best:
-            best = d
-    return best
-
-
-def dist_triangle_triangle(t1, t2, tol=DEFAULT_TOL, degenerate_ok=False):
-    check_triangle(t1, tol, degenerate_ok)
-    check_triangle(t2, tol, degenerate_ok)
-    best = math.inf
-    for i in range(3):
-        e1 = (t1[i], t1[(i + 1) % 3])
-        d = dist_segment_triangle(e1, t2, tol, True)
-        if d < best:
-            best = d
-        e2 = (t2[i], t2[(i + 1) % 3])
-        d = dist_segment_triangle(e2, t1, tol, True)
-        if d < best:
-            best = d
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalar import DEFAULT_TOL
-from .geometry import cross_norm, vdist, vnorm, vsub
+from .geometry import RANGE_MESSAGE, triangle_shape, vdist, vsub
 
 
 class ValidationError(ValueError):
@@ -188,30 +188,13 @@ def validate(surface, tol=DEFAULT_TOL):
             f"boundary edge length sum {blen:.12g} != 4 (square boundary not traced)")
 
     for ti in range(len(tri.triangles)):
-        p, q, r = surface.image_triangle(ti)
-        edges = (vsub(q, p), vsub(r, p), vsub(r, q))
-        if not _degenerate(edges, tol.rel):
-            continue
-        # the test squares lengths twice, so it under- or overflows far from
-        # unit scale; a power-of-two rescaling is exact and says which it was
-        span = max(abs(c) for e in edges for c in e)
-        if span == 0.0 or (math.isfinite(span) and _degenerate(
-                [[math.ldexp(c, -math.frexp(span)[1]) for c in e] for e in edges],
-                tol.rel)):
+        shape, span = triangle_shape(surface.image_triangle(ti), tol.rel)
+        if shape == "degenerate":
             report.append(f"degenerate image triangle at index {ti}")
-        else:
-            report.append(f"image triangle {ti} spans {span:.3g}, outside the "
-                          f"range where its degeneracy test can be evaluated "
-                          f"in double precision")
+        elif shape == "range":
+            report.append(f"image triangle {ti} spans {span:.3g}, {RANGE_MESSAGE}")
 
     return report
-
-
-def _degenerate(edges, rel):
-    """The image degeneracy test on a triangle's edge vectors q-p, r-p, r-q:
-    twice the area is at most rel times the longest edge squared."""
-    scale = max(vnorm(e) for e in edges)
-    return scale == 0.0 or cross_norm(edges[0], edges[1]) <= rel * scale * scale
 
 
 def require_valid(surface, tol=DEFAULT_TOL):

@@ -9,7 +9,15 @@ import numpy as np
 from scipy import ndimage
 
 from frechet_surfaces.batched import batch_dist_point_triangle
-from frechet_surfaces.geometry import perp_component, vdist, vdot, vsub, vunit
+from frechet_surfaces.criticals import (_feature_bbox, _is_nearest_feature,
+                                        _point_in_triangle_2d, _y_on_conic)
+from frechet_surfaces.geometry import (FEATURES, check_triangle,
+                                       closest_segment_segment, conic_value,
+                                       conic_y_resultant, dist_point_triangle,
+                                       feature_sqdist_conic, perp_component,
+                                       vcross3, vdist, vdot, vlerp, vnorm, vsub,
+                                       vunit)
+from frechet_surfaces.scalar import DEFAULT_TOL
 from frechet_surfaces.surface import lipschitz_constant
 
 
@@ -361,3 +369,255 @@ def region_breakpoints_loops(seg, tri):
         w = perp_component(vsub(c, a), u)
         add_plane(w, -vdot(a, w))
     return ts
+
+
+# ---------------------------------------------------------------------------
+# Scalar segment/triangle kernels: the batched tables of batched.py must equal
+# them bit for bit
+# ---------------------------------------------------------------------------
+
+def segment_crosses_triangle(a, b, tri):
+    """True when segment [a, b] meets the closed triangle (d=3 proper crossing;
+    coplanar contact is resolved by the edge/vertex distance terms instead)."""
+    if len(a) == 2:
+        return False
+    u = vsub(tri[1], tri[0])
+    v = vsub(tri[2], tri[0])
+    n = vcross3(u, v)
+    nn = vnorm(n)
+    if nn == 0.0:
+        return False
+    da = vdot(n, vsub(a, tri[0]))
+    db = vdot(n, vsub(b, tri[0]))
+    if (da > 0.0 and db > 0.0) or (da < 0.0 and db < 0.0):
+        return False
+    denom = da - db
+    if denom == 0.0:
+        return False  # coplanar; handled elsewhere
+    t = da / denom
+    p = vlerp(a, b, t)
+    # barycentric inside test
+    w = vsub(p, tri[0])
+    uu = vdot(u, u)
+    uv = vdot(u, v)
+    vv = vdot(v, v)
+    wu = vdot(w, u)
+    wv = vdot(w, v)
+    det = uu * vv - uv * uv
+    if det == 0.0:
+        return False
+    s = (vv * wu - uv * wv) / det
+    r = (uu * wv - uv * wu) / det
+    return s >= 0.0 and r >= 0.0 and s + r <= 1.0
+
+
+def dist_segment_triangle(seg, tri, tol=DEFAULT_TOL, degenerate_ok=False):
+    check_triangle(tri, tol, degenerate_ok)
+    a, b = seg
+    if segment_crosses_triangle(a, b, tri):
+        return 0.0
+    best = min(dist_point_triangle(a, tri, tol, True),
+               dist_point_triangle(b, tri, tol, True))
+    for i in range(3):
+        d, _, _ = closest_segment_segment(a, b, tri[i], tri[(i + 1) % 3])
+        if d < best:
+            best = d
+    return best
+
+
+def dist_triangle_triangle(t1, t2, tol=DEFAULT_TOL, degenerate_ok=False):
+    check_triangle(t1, tol, degenerate_ok)
+    check_triangle(t2, tol, degenerate_ok)
+    best = math.inf
+    for i in range(3):
+        e1 = (t1[i], t1[(i + 1) % 3])
+        d = dist_segment_triangle(e1, t2, tol, True)
+        if d < best:
+            best = d
+        e2 = (t2[i], t2[(i + 1) % 3])
+        d = dist_segment_triangle(e2, t1, tol, True)
+        if d < best:
+            best = d
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Type-2c search, one triple at a time
+# ---------------------------------------------------------------------------
+
+def batched_poly_roots_eig(coeffs, xlo, xhi):
+    """Real roots of polynomial rows (lowest degree first) in [xlo, xhi],
+    every row of degree 3 or 4 solved by companion-matrix eigenvalues: the
+    solve of criticals._batched_poly_roots without its no-root certificate."""
+    n, width = coeffs.shape
+    rows_out = []
+    xs_out = []
+    mags = np.abs(coeffs).max(axis=1)
+    ok = mags > 0
+    norm = coeffs.copy()
+    norm[ok] = coeffs[ok] / mags[ok, None]
+    tiny = 1e-12
+    degs = np.zeros(n, dtype=int)
+    for d in range(width - 1, 0, -1):
+        mask = (degs == 0) & (np.abs(norm[:, d]) > tiny)
+        degs[mask] = d
+
+    def emit(rows, xs):
+        keep = (xs >= xlo[rows]) & (xs <= xhi[rows])
+        rows_out.append(rows[keep])
+        xs_out.append(xs[keep])
+
+    for d in (3, 4):
+        rows = np.where(degs == d)[0]
+        if len(rows) == 0:
+            continue
+        sub = norm[rows][:, : d + 1]
+        comp = np.zeros((len(rows), d, d))
+        comp[:, 1:, :-1] = np.eye(d - 1)
+        comp[:, :, -1] = -sub[:, :d] / sub[:, d:d + 1]
+        eig = np.linalg.eigvals(comp)
+        realish = np.abs(eig.imag) <= 1e-7 * (1.0 + np.abs(eig.real))
+        rr = np.repeat(rows, d)[realish.ravel()]
+        emit(rr, eig.real.ravel()[realish.ravel()])
+    rows = np.where(degs == 2)[0]
+    if len(rows):
+        a = norm[rows, 2]
+        b = norm[rows, 1]
+        c = norm[rows, 0]
+        disc = b * b - 4 * a * c
+        has = disc >= 0
+        sq = np.sqrt(np.where(has, disc, 0.0))
+        for sgn in (-1.0, 1.0):
+            emit(rows[has], ((-b + sgn * sq) / (2 * a))[has])
+    rows = np.where(degs == 1)[0]
+    if len(rows):
+        emit(rows, -norm[rows, 0] / norm[rows, 1])
+    if not rows_out:
+        return np.array([], dtype=int), np.array([])
+    return np.concatenate(rows_out), np.concatenate(xs_out)
+
+
+def triple_equidistance_scan(frame, tri2d, others, ranges, lo, hi,
+                             tol=DEFAULT_TOL):
+    """criticals.triple_equidistance_values as a loop over triples: each
+    triple scans all 343 feature rows with the three-way box and range tests
+    and solves its kept rows in a call of its own, without the no-root
+    certificate.  The per-root checks are the library's own helpers."""
+    from itertools import combinations
+
+    out = []
+    txs = [p[0] for p in tri2d]
+    tys = [p[1] for p in tri2d]
+    tri_box = np.array([min(txs), min(tys), max(txs), max(tys)])
+    scale = max(1.0, hi)
+    slack = 1e-7 * scale
+    pad = 1e-4 * scale
+
+    n_feat = len(FEATURES)
+    n_others = len(others)
+    rng_arr = np.array(ranges, dtype=float)
+    lb_arr = rng_arr[:, :, 0]
+    ub_arr = rng_arr[:, :, 1]
+    live = (lb_arr <= hi + pad) & (ub_arr >= lo - pad)
+    conic_arr = np.full((n_others, n_feat, 6), np.nan)
+    box_arr = np.full((n_others, n_feat, 4), np.nan)
+    for a, (oi, tri) in enumerate(others):
+        for fi, feat in enumerate(FEATURES):
+            if not live[a, fi]:
+                continue
+            c = feature_sqdist_conic(frame, tri, feat)
+            if c is None:
+                continue
+            conic_arr[a, fi] = c
+            box_arr[a, fi] = _feature_bbox(frame, tri, feat, hi * 1.0001)
+    alive = [a for a in range(n_others) if not np.isnan(conic_arr[a, :, 0]).all()]
+
+    fi_g, fj_g, fk_g = np.meshgrid(np.arange(n_feat), np.arange(n_feat),
+                                   np.arange(n_feat), indexing="ij")
+    fi_g = fi_g.ravel()
+    fj_g = fj_g.ravel()
+    fk_g = fk_g.ravel()
+
+    for (ia, ib, ic) in combinations(alive, 3):
+        i, tri_i = others[ia]
+        j, tri_j = others[ib]
+        k, tri_k = others[ic]
+        Ci = conic_arr[ia][fi_g]
+        Cj = conic_arr[ib][fj_g]
+        Ck = conic_arr[ic][fk_g]
+        blo_x = np.maximum.reduce([box_arr[ia][fi_g, 0], box_arr[ib][fj_g, 0],
+                                   box_arr[ic][fk_g, 0], np.full(len(fi_g), tri_box[0])])
+        bhi_x = np.minimum.reduce([box_arr[ia][fi_g, 2], box_arr[ib][fj_g, 2],
+                                   box_arr[ic][fk_g, 2], np.full(len(fi_g), tri_box[2])])
+        blo_y = np.maximum.reduce([box_arr[ia][fi_g, 1], box_arr[ib][fj_g, 1],
+                                   box_arr[ic][fk_g, 1], np.full(len(fi_g), tri_box[1])])
+        bhi_y = np.minimum.reduce([box_arr[ia][fi_g, 3], box_arr[ib][fj_g, 3],
+                                   box_arr[ic][fk_g, 3], np.full(len(fi_g), tri_box[3])])
+        lb_max = np.maximum.reduce([lb_arr[ia][fi_g], lb_arr[ib][fj_g],
+                                    lb_arr[ic][fk_g]])
+        ub_min = np.minimum.reduce([ub_arr[ia][fi_g], ub_arr[ib][fj_g],
+                                    ub_arr[ic][fk_g]])
+        C1 = Ci - Cj
+        C2 = Ci - Ck
+        with np.errstate(invalid="ignore"):
+            keep = ((blo_x <= bhi_x) & (blo_y <= bhi_y) & (lb_max <= ub_min + pad)
+                    & ~np.isnan(C1).any(axis=1) & ~np.isnan(C2).any(axis=1)
+                    & (np.abs(C1).max(axis=1) > 1e-12)
+                    & (np.abs(C2).max(axis=1) > 1e-12))
+        if not keep.any():
+            continue
+        kept = np.flatnonzero(keep)
+        C1 = C1[keep]
+        C2 = C2[keep]
+        xlo = blo_x[keep] - slack
+        xhi = bhi_x[keep] + slack
+        ylo = blo_y[keep] - slack
+        yhi = bhi_y[keep] + slack
+
+        quartic, cubic = conic_y_resultant(C1.T, C2.T)
+        res = np.stack(quartic, axis=1)
+        cubic = np.stack(cubic, axis=1)
+        both_linear = (np.abs(C1[:, 2]) <= 1e-12) & (np.abs(C2[:, 2]) <= 1e-12)
+        polys = np.where(both_linear[:, None],
+                         np.hstack([cubic, np.zeros((len(cubic), 1))]), res)
+        seen = set()
+        root_rows, root_xs = batched_poly_roots_eig(polys, xlo, xhi)
+        for row, x in zip(root_rows, root_xs):
+            c1 = tuple(C1[row])
+            c2 = tuple(C2[row])
+            ys = _y_on_conic(c1, x, tol) if abs(c1[2]) >= abs(c2[2]) \
+                else _y_on_conic(c2, x, tol)
+            for y in ys:
+                if not (ylo[row] <= y <= yhi[row]):
+                    continue
+                r1 = conic_value(c1, x, y)
+                r2 = conic_value(c2, x, y)
+                conic_scale = 1e-5 * max(1.0, abs(x) + abs(y)) ** 2 * scale
+                if abs(r1) > conic_scale or abs(r2) > conic_scale:
+                    continue
+                if not _point_in_triangle_2d((x, y), tri2d, slack):
+                    continue
+                key = (round(x / (10 * slack)), round(y / (10 * slack)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                p3 = frame.from_plane((x, y))
+                di = dist_point_triangle(p3, tri_i, tol, degenerate_ok=True)
+                dj = dist_point_triangle(p3, tri_j, tol, degenerate_ok=True)
+                dk = dist_point_triangle(p3, tri_k, tol, degenerate_ok=True)
+                dmax = max(di, dj, dk)
+                dmin = min(di, dj, dk)
+                slack_d = 1e3 * tol.gap(dmax)
+                if dmax - dmin > slack_d:
+                    continue
+                src = kept[row]
+                feats = ((tri_i, ia, fi_g[src], di), (tri_j, ib, fj_g[src], dj),
+                         (tri_k, ic, fk_g[src], dk))
+                if not all(_is_nearest_feature(p3, (x, y), tri, FEATURES[fa],
+                                               conic_arr[a, fa], d, slack_d)
+                           for tri, a, fa, d in feats):
+                    continue
+                val = (di + dj + dk) / 3.0
+                if lo - tol.gap(val) <= val <= hi + tol.gap(val):
+                    out.append((val, (i, j, k)))
+    return out

@@ -4,10 +4,9 @@ from frechet_surfaces import (build_graph, component_extensive, coverage,
                               triangle_covered)
 from frechet_surfaces.coverage import (CoverageRecord, arrangement,
                                        arrangement_svg)
-from frechet_surfaces.geometry import dist_triangle_triangle
 from .conftest import (bumped_grid_surface, flat_surface, grid_triangulation,
                        random_surface_pair, translate_surface)
-from .oracles import mc_triangle_covered
+from .oracles import dist_triangle_triangle, mc_triangle_covered
 
 
 def test_self_cover_identity():

@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from frechet_surfaces import (CriticalValue, PairGeometry, critical_values_2c,
-                              critical_values_C1, freespace)
-from frechet_surfaces.criticals import (_feature_ranges,
+                              critical_values_C1, criticals, freespace)
+from frechet_surfaces.criticals import (_batched_poly_roots,
+                                        _certified_root_free, _feature_ranges,
                                         equidistance_values_on_segment,
                                         segment_features,
                                         triple_equidistance_values)
 from frechet_surfaces.geometry import (FEATURES, closest_point_segment,
-                                       dist_point_triangle, vdist)
+                                       dist_point_triangle, frame_of_triangle,
+                                       triangle_shape, vdist)
 from frechet_surfaces.surface import ParamTriangulation, Surface
 from frechet_surfaces import validate
 from .conftest import flat_surface, random_surface_pair, random_triangle, \
     translate_surface
-from .oracles import points_triangle_dist, region_breakpoints_loops
+from .oracles import (batched_poly_roots_eig, points_triangle_dist,
+                      region_breakpoints_loops, triple_equidistance_scan)
 from .test_decision import _count_calls
 
 
@@ -301,6 +305,172 @@ def test_t2c_rejects_roots_of_rows_whose_features_are_not_nearest():
     vals = triple_equidistance_values(frame, tri2d, _SHARED_VERTEX_OTHERS,
                                       ranges, 0.0, 1.0)
     assert vals == []
+
+
+def _synthetic_t2c_input(rng, d):
+    """A host triangle and three to five partner triangles drawn from six
+    shared points, so partners meet at coincident vertices, with a random
+    bracket and either (0, inf) or random feature ranges, some empty."""
+    host = random_triangle(rng, d)
+    frame = frame_of_triangle(host)
+    tri2d = [frame.to_plane(p) for p in host]
+    pool = [tuple(float(c) for c in rng.uniform(-1.0, 1.0, d)) for _ in range(6)]
+    n_others = int(rng.integers(3, 6))
+    others = []
+    while len(others) < n_others:
+        tri = tuple(pool[i] for i in rng.choice(len(pool), 3, replace=False))
+        if triangle_shape(tri, 1e-3)[0] == "proper":
+            others.append((len(others), tri))
+    lo = float(rng.uniform(0.0, 0.5))
+    hi = lo + float(rng.uniform(0.1, 1.5))
+    if rng.random() < 0.5:
+        ranges = [[(0.0, math.inf)] * len(FEATURES) for _ in others]
+    else:
+        ranges = []
+        for _ in others:
+            lb = rng.uniform(0.0, 1.0, len(FEATURES))
+            ub = lb + rng.uniform(-0.05, 1.0, len(FEATURES))
+            ranges.append([(float(a), float(b)) for a, b in zip(lb, ub)])
+    return frame, tri2d, others, ranges, lo, hi
+
+
+def test_t2c_rows_equal_triple_scan(rng, monkeypatch):
+    # the pairwise row filter, the batches and the no-root certificate change
+    # no value: the inputs critical_values_2c hands over on random pairs, 200
+    # synthetic ones and the shared-vertex fixture give what the per-triple
+    # scan gives, float for float and in the same order
+    inputs = []
+    calls = _count_calls(monkeypatch, criticals, "triple_equidistance_values")
+    for n in range(4):
+        f, g = random_surface_pair(rng, d=2 + n % 2, tri_range=(4, 5))
+        for lo, hi in ((0.0, 1.5), (0.3, 0.9)):
+            critical_values_2c(f, g, lo, hi)
+    monkeypatch.undo()
+    inputs += [args[:6] for args in calls]
+    inputs += [_synthetic_t2c_input(rng, 2 + n % 2) for n in range(200)]
+    frame = frame_of_triangle(_SHARED_VERTEX_HOST)
+    inputs.append((frame, [frame.to_plane(p) for p in _SHARED_VERTEX_HOST],
+                   _SHARED_VERTEX_OTHERS,
+                   [[(0.0, math.inf)] * len(FEATURES)] * len(_SHARED_VERTEX_OTHERS),
+                   0.0, 1.0))
+    assert len(inputs) >= 240
+    expected = [repr(triple_equidistance_scan(*args)) for args in inputs]
+    got = [repr(triple_equidistance_values(*args)) for args in inputs]
+    assert got == expected
+    assert sum(e != "[]" for e in expected) >= 20
+    # one triple per batch
+    monkeypatch.setattr(criticals, "_BATCH_ROWS", 1)
+    assert [repr(triple_equidistance_values(*args)) for args in inputs] == expected
+
+
+def _poly_interval(rng):
+    """An interval near 0 or near +-1e3, 1e-3 to 3 wide."""
+    centre = float(rng.choice([0.0, 1e3, -1e3])) + rng.uniform(-1.0, 1.0)
+    width = 10.0 ** rng.uniform(-3.0, 0.5)
+    return centre - 0.5 * width, centre + 0.5 * width
+
+
+def _roots_at_interval(rng, lo, hi, deg):
+    """Roots inside [lo, hi], at its ends, just inside or outside them,
+    double, in nearly real complex pairs, and far roots that leave a leading
+    coefficient of about 1e-11."""
+    width = hi - lo
+    roots = []
+    while len(roots) < deg:
+        kind = int(rng.integers(0, 6))
+        free = deg - len(roots)
+        if kind == 0:
+            roots.append(rng.uniform(lo, hi))
+        elif kind == 1:
+            roots.append(float(rng.choice([lo, hi])))
+        elif kind == 2:
+            roots.append(float(rng.choice([lo, hi]))
+                         + rng.choice([-1.0, 1.0]) * width * 10.0 ** rng.uniform(-12, -3))
+        elif kind == 3 and free >= 2:
+            roots += [rng.uniform(lo, hi)] * 2
+        elif kind == 4 and free >= 2:
+            re = rng.uniform(lo, hi)
+            im = 1e-8 * (1.0 + abs(re)) * rng.uniform(0.3, 3.0)
+            roots += [complex(re, im), complex(re, -im)]
+        elif kind == 5 and roots:
+            roots.append(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(10.5, 11.5))
+    return roots
+
+
+def _roots_off_interval(rng, lo, hi, deg):
+    """Real roots half a width to three widths outside [lo, hi], and complex
+    pairs over it half a width to two widths off the real axis."""
+    width = hi - lo
+    roots = []
+    while len(roots) < deg:
+        if deg - len(roots) >= 2 and rng.random() < 0.5:
+            re = rng.uniform(lo, hi)
+            im = width * rng.uniform(0.5, 2.0)
+            roots += [complex(re, im), complex(re, -im)]
+        else:
+            roots.append(float(rng.choice([lo - width * rng.uniform(0.5, 3.0),
+                                           hi + width * rng.uniform(0.5, 3.0)])))
+    return roots
+
+
+def _poly_rows(rng, n, roots, near_zero=False):
+    """n rows of degree 1-4 polynomials (lowest degree first, five columns)
+    with the given roots and a random scale, and their intervals."""
+    coeffs = np.zeros((n, 5))
+    xlo = np.zeros(n)
+    xhi = np.zeros(n)
+    for r in range(n):
+        lo, hi = _poly_interval(rng)
+        if near_zero:
+            lo, hi = lo - round(lo), hi - round(lo)
+        c = P.polyfromroots(roots(rng, lo, hi, int(rng.integers(1, 5)))).real
+        coeffs[r, :len(c)] = c * 10.0 ** rng.uniform(-3.0, 3.0)
+        xlo[r], xhi[r] = lo, hi
+    return coeffs, xlo, xhi
+
+
+def _certified_by_degree(coeffs, xlo, xhi):
+    """{degree: (rows, certified mask)} for the rows of degree 3 and 4, as
+    _batched_poly_roots normalizes and trims them."""
+    norm = coeffs / np.abs(coeffs).max(axis=1, keepdims=True)
+    degs = np.array([max([0] + [d for d in range(1, 5) if abs(row[d]) > 1e-12])
+                     for row in norm])
+    out = {}
+    for d in (3, 4):
+        rows = np.flatnonzero(degs == d)
+        out[d] = rows, _certified_root_free(norm[rows, :d + 1], xlo[rows], xhi[rows])
+    return out
+
+
+def test_certificate_keeps_every_row_with_a_root(rng):
+    coeffs, xlo, xhi = _poly_rows(rng, 4000, _roots_at_interval)
+    rows, xs = _batched_poly_roots(coeffs, xlo, xhi)
+    eig_rows, eig_xs = batched_poly_roots_eig(coeffs, xlo, xhi)
+    assert len(set(eig_rows.tolist())) > 2000
+    assert np.array_equal(rows, eig_rows) and np.array_equal(xs, eig_xs)
+    with_root = set(eig_rows.tolist())
+    for d, (deg_rows, certified) in _certified_by_degree(coeffs, xlo, xhi).items():
+        assert len(deg_rows) > 300
+        assert not with_root & set(deg_rows[certified].tolist()), d
+
+
+def test_certificate_skips_most_root_free_rows(rng):
+    coeffs, xlo, xhi = _poly_rows(rng, 4000, _roots_off_interval, near_zero=True)
+    assert len(batched_poly_roots_eig(coeffs, xlo, xhi)[0]) == 0
+    certified = np.concatenate([c for _, c in
+                                _certified_by_degree(coeffs, xlo, xhi).values()])
+    assert len(certified) > 1000
+    assert certified.mean() > 0.5
+
+
+def test_batched_poly_roots_of_a_row_do_not_depend_on_the_batch(rng):
+    coeffs, xlo, xhi = _poly_rows(rng, 300, _roots_at_interval)
+    rows, xs = _batched_poly_roots(coeffs, xlo, xhi)
+    together = [xs[rows == r].tolist() for r in range(len(coeffs))]
+    alone = [_batched_poly_roots(coeffs[r:r + 1], xlo[r:r + 1], xhi[r:r + 1])[1].tolist()
+             for r in range(len(coeffs))]
+    assert together == alone
+    assert sum(map(len, alone)) > 150
 
 
 def _feature_distance(p, tri, feature):

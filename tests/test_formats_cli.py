@@ -161,6 +161,24 @@ def test_degenerate_tiny_triangle_still_degenerate(tmp_path, capsys):
     assert "degenerate image triangle at index 0" in out
 
 
+@pytest.mark.parametrize("image", [
+    # twice the area is 1.5 rel times the longest edge squared: the area
+    # itself is below rel times it, as the numerics test it
+    [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.5e-9, 0.0), (0.0, 1.0, 0.0)],
+    # a needle at 1e150, whose raw cross product overflows
+    [(0.0, 0.0, 0.0), (1e150, 0.0, 0.0), (1e150, 1e138, 0.0), (0.0, 1e150, 0.0)],
+])
+def test_validate_and_numerics_share_the_degeneracy_test(tmp_path, capsys, image):
+    p = write_surface(tmp_path / "s.json", Surface.create(flat_surface().param, image))
+    code, out, _ = run_cli(["validate", p], capsys)
+    assert code == 1
+    assert json.loads(out.strip().splitlines()[1])["violations"] == [
+        "degenerate image triangle at index 0"]
+    code, _, err = run_cli(["decide", p, p, "--eps", "0"], capsys)
+    assert code == 2
+    assert "degenerate image triangle at index 0" in err
+
+
 def test_validate_invalid_exit_1(tmp_path, capsys):
     s = flat_surface()
     doc = {

@@ -1,9 +1,8 @@
 import pytest
 
-from frechet_surfaces import (PairGeometry, build_graph, dist_point_triangle,
-                              dist_segment_triangle, dist_triangle_triangle)
+from frechet_surfaces import PairGeometry, build_graph, dist_point_triangle
 from .conftest import flat_surface, random_surface_pair, translate_surface
-from .oracles import bfs_components
+from .oracles import bfs_components, dist_segment_triangle, dist_triangle_triangle
 
 
 def test_identical_surfaces_large_eps():

@@ -23,8 +23,6 @@ from frechet_surfaces.geometry import (FEATURES, GeometryError,
                                        conic_conic_points, conic_value,
                                        conic_y_resultant, conics_identical,
                                        dist_point_triangle,
-                                       dist_segment_triangle,
-                                       dist_triangle_triangle,
                                        eps_neighborhood_plane_boundary,
                                        feature_regions, feature_sqdist_conic,
                                        frame_of_triangle,
@@ -32,11 +30,12 @@ from frechet_surfaces.geometry import (FEATURES, GeometryError,
                                        make_ellipse_arc, make_segment_arc,
                                        Plane2Frame, SLICE_EMPTY, SLICE_BOUNDARY,
                                        point_sqdist_quadratic,
-                                       segment_crosses_triangle,
                                        triangle_scale, vdist, vdot, vunit)
 from .conftest import random_triangle
-from .oracles import (resultant_rows, sample_triangle, sampled_point_triangle,
-                      sampled_segment_triangle, sampled_triangle_triangle)
+from .oracles import (dist_segment_triangle, dist_triangle_triangle,
+                      resultant_rows, sample_triangle, sampled_point_triangle,
+                      sampled_segment_triangle, sampled_triangle_triangle,
+                      segment_crosses_triangle)
 
 TRI = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 

@@ -150,6 +150,8 @@ def run(argv=None):
         return 0
 
     if args.command == "criticals":
+        if args.with_2c is not None and args.with_2c[0] > args.with_2c[1]:
+            raise FormatError("--with-2c needs LO <= HI")
         print(cfg.header_json())
         f, g = _load_two_surfaces(args, tol)
         geometry = PairGeometry(f, g, tol)
@@ -220,7 +222,7 @@ def run(argv=None):
 def main(argv=None):
     try:
         code = run(argv)
-    except (FormatError, ValidationError, FileNotFoundError) as exc:
+    except (FormatError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GeometryError, ArithmeticError, ZeroDivisionError) as exc:

@@ -138,43 +138,36 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
     out = []
     f_edges = [(e, f.image_segment(e)) for e in f.param.edges()]
     g_edges = [(e, g.image_segment(e)) for e in g.param.edges()]
-    f_tris = [(i, f.image_triangle(i)) for i in range(f.n_triangles)]
-    g_tris = [(i, g.image_triangle(i)) for i in range(g.n_triangles)]
+    f_units = [vunit(vsub(s[1], s[0])) for _, s in f_edges]
+    g_units = [vunit(vsub(s[1], s[0])) for _, s in g_edges]
+    # None for a triangle in the plane (d = 2): such triangles all share the
+    # plane, and no pair of them is reported
+    f_normals = [triangle_unit_normal(t) for t in geometry.f_tris]
+    g_normals = [triangle_unit_normal(t) for t in geometry.g_tris]
     zero = lambda x: x <= 1e-9
 
-    for (ek, sk) in f_edges:
-        uk = vunit(vsub(sk[1], sk[0]))
-        for (el, sl) in g_edges:
-            ul = vunit(vsub(sl[1], sl[0]))
+    for (ek, sk), uk in zip(f_edges, f_units):
+        for (el, sl), ul in zip(g_edges, g_units):
             if zero(cross_norm(uk, ul)):
                 d, _, _ = closest_segment_segment(sk[0], sk[1], sl[0], sl[1])
                 out.append(CriticalValue(d, "T2d", ("K-edge", ek, "L-edge", el)))
-        for (lt, tl) in g_tris:
-            nl = triangle_unit_normal(tl)
+        for lt, nl in enumerate(g_normals):
             if nl is not None and zero(abs(vdot(uk, nl))):
                 out.append(CriticalValue(
                     geometry.f_edge_dist[ek][lt], "T2d",
                     ("K-edge", ek, "L-tri", lt)))
-    for (el, sl) in g_edges:
-        ul = vunit(vsub(sl[1], sl[0]))
-        for (kt, tk) in f_tris:
-            nk = triangle_unit_normal(tk)
+    for (el, _), ul in zip(g_edges, g_units):
+        for kt, nk in enumerate(f_normals):
             if nk is not None and zero(abs(vdot(ul, nk))):
                 out.append(CriticalValue(
                     geometry.g_edge_dist[el][kt], "T2d",
                     ("L-edge", el, "K-tri", kt)))
-    for (kt, tk) in f_tris:
-        nk = triangle_unit_normal(tk)
-        for (lt, tl) in g_tris:
-            nl = triangle_unit_normal(tl)
+    for kt, nk in enumerate(f_normals):
+        for lt, nl in enumerate(g_normals):
             if nk is not None and nl is not None and zero(cross_norm(nk, nl)):
                 out.append(CriticalValue(
                     geometry.cell_dist[kt][lt], "T2d",
                     ("K-tri", kt, "L-tri", lt)))
-            elif nk is None and nl is None:
-                # d=2: every triangle pair is "parallel" only in the degenerate
-                # sense of sharing the plane; skip to avoid flooding candidates
-                continue
     return out
 
 
@@ -182,41 +175,60 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
 # C1 = T1, T2a, T2b, T2d
 # ---------------------------------------------------------------------------
 
-def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None):
-    """All type 1/2a/2b/2d candidates, sorted ascending, deduplicated per kind.
-
-    T1, T2a and the distances of T2d are read from `geometry`, the pair's
+def table_critical_values(f, g, tol=DEFAULT_TOL, geometry=None):
+    """The T1, T2a and T2d candidates, sorted ascending and deduplicated per
+    kind: the values read from the tables of `geometry`, the pair's
     PairGeometry (a fresh one when omitted)."""
     geometry = PairGeometry.of(f, g, tol, geometry)
-    vals = []
-
-    for (tagE, tagT, se, st, edge_dist) in (
-            ("K-edge", "L-tri", f, g, geometry.f_edge_dist),
-            ("L-edge", "K-tri", g, f, geometry.g_edge_dist)):
-        for e in se.param.edges():
-            for ti in range(st.n_triangles):
-                vals.append(CriticalValue(edge_dist[e][ti], "T1", (tagE, e, tagT, ti)))
-
-    for (tagV, tagT, sv, st, vertex_dist) in (
-            ("K-vertex", "L-tri", f, g, geometry.f_vertex_dist),
-            ("L-vertex", "K-tri", g, f, geometry.g_vertex_dist)):
-        for vi in range(len(sv.image)):
-            for ti in range(st.n_triangles):
-                vals.append(CriticalValue(vertex_dist[vi][ti], "T2a",
-                                          (tagV, vi, tagT, ti)))
-
-    for (tagE, tagT, se, st) in (("K-edge", "L-tris", f, g), ("L-edge", "K-tris", g, f)):
-        tris = [(i, st.image_triangle(i)) for i in range(st.n_triangles)]
-        for e in se.param.edges():
-            seg = se.image_segment(e)
-            feats = [(i, tri, segment_features(seg, tri)) for (i, tri) in tris]
-            for (i, ta, fa), (j, tb, fb) in combinations(feats, 2):
-                for v in equidistance_values_on_segment(seg, ta, tb, tol,
-                                                        features=(fa, fb)):
-                    vals.append(CriticalValue(v, "T2b", (tagE, e, tagT, (i, j))))
-
-    vals.extend(parallel_pair_values(f, g, tol, geometry=geometry))
+    vals = parallel_pair_values(f, g, tol, geometry=geometry)
+    for (kind, tagR, tagT, keys, table) in (
+            ("T1", "K-edge", "L-tri", f.param.edges(), geometry.f_edge_dist),
+            ("T1", "L-edge", "K-tri", g.param.edges(), geometry.g_edge_dist),
+            ("T2a", "K-vertex", "L-tri", range(len(f.image)), geometry.f_vertex_dist),
+            ("T2a", "L-vertex", "K-tri", range(len(g.image)), geometry.g_vertex_dist)):
+        for key in keys:
+            vals.extend(CriticalValue(d, kind, (tagR, key, tagT, ti))
+                        for ti, d in enumerate(table[key]))
     return dedup_critical_values(vals, tol)
+
+
+def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0, hi=math.inf):
+    """The type 1/2a/2b/2d candidates in [lo, hi], sorted ascending and
+    deduplicated per kind: the entries of the unbounded list in [lo, hi].
+
+    A T2b value of edge e and triangles i, j is the common distance at a
+    point of e.  The distance to a convex set is convex along a segment, so
+    the value lies in the range [edge distance, larger endpoint distance] of
+    both (e, i) and (e, j), read from `geometry`.  T2b is enumerated only for
+    the (e, i) whose range meets [lo, hi] and the pairs whose ranges meet,
+    within a pad far above rounding; every T2b value near [lo, hi] is found,
+    so the per-kind dedup keeps the unbounded list's entries unless a chain
+    of values, each within the dedup radius of the next, spans the pad."""
+    geometry = PairGeometry.of(f, g, tol, geometry)
+    vals = table_critical_values(f, g, tol, geometry)
+    pad = 1e-4 * max(1.0, hi)
+    for (tagE, tagT, se, tris, edge_dist, vertex_dist) in (
+            ("K-edge", "L-tris", f, geometry.g_tris, geometry.f_edge_dist,
+             geometry.f_vertex_dist),
+            ("L-edge", "K-tris", g, geometry.f_tris, geometry.g_edge_dist,
+             geometry.g_vertex_dist)):
+        edges = se.param.edges()
+        lbs = np.array([edge_dist[e] for e in edges])
+        ends = np.array(vertex_dist)[np.array(edges)]
+        ubs = np.maximum(ends[:, 0], ends[:, 1]) + pad
+        for e, lb, ub, live in zip(edges, lbs, ubs, (lbs <= hi + pad) & (ubs >= lo)):
+            idx = np.flatnonzero(live)
+            lb, ub = lb[idx], ub[idx]
+            meet = np.triu((lb[:, None] <= ub) & (lb <= ub[:, None]), 1)
+            seg = se.image_segment(e)
+            feats = {i: segment_features(seg, tris[i])
+                     for i in idx[meet.any(axis=0) | meet.any(axis=1)].tolist()}
+            # pairs i < j, in the order of combinations()
+            for i, j in idx[np.argwhere(meet)].tolist():
+                for v in equidistance_values_on_segment(seg, tris[i], tris[j], tol,
+                                                        features=(feats[i], feats[j])):
+                    vals.append(CriticalValue(v, "T2b", (tagE, e, tagT, (i, j))))
+    return [cv for cv in dedup_critical_values(vals, tol) if lo <= cv.value <= hi]
 
 
 def dedup_critical_values(vals, tol=DEFAULT_TOL):

@@ -2,9 +2,9 @@
 
 decide() answers "is the weak Fréchet distance <= eps" by looking for a
 connected component of the free-space graph whose projections cover both
-parameter spaces.  compute() locates the distance by binary search over the
-enumerated critical values, refining the final bracket either with type-2c
-candidates ("exact" mode) or by plain bisection ("bisect" mode).
+parameter spaces.  compute() locates the distance by a staged binary search
+over the enumerated critical values, refining the final bracket either with
+type-2c candidates ("exact" mode) or by plain bisection ("bisect" mode).
 """
 
 import math
@@ -15,7 +15,8 @@ import numpy as np
 from .scalar import DEFAULT_TOL, bisect_threshold
 from .batched import batch_dist_point_triangle
 from .coverage import CoverageRecord, component_extensive
-from .criticals import critical_values_C1, critical_values_2c
+from .criticals import (critical_values_C1, critical_values_2c,
+                        table_critical_values)
 from .freespace import PairGeometry, build_graph
 from .surface import (image_diameter_bound, require_valid, sample_image_points)
 
@@ -91,11 +92,13 @@ def _merged_values(candidates, lo, hi, tol):
 def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     """Weak Fréchet distance: min eps with decide(f, g, eps) true.
 
-    "exact" mode walks the enumerated critical values (types 1/2a/2b/2d, then
-    type-2c candidates inside the final bracket); "bisect" mode bisects the
-    bracket down to tolerance instead of enumerating type-2c values.  All
-    probes and candidate families share one PairGeometry of the pair, and
-    all probes one CoverageRecord.
+    One bracket search in stages, each narrowing (lo, hi] to the first of its
+    sorted, merged candidates that probes true: the families read from the
+    pair's tables (types 1/2a/2d), then every type-1/2a/2b/2d value inside
+    that bracket (T2b enumerated only there), then the type-2c values inside
+    the last bracket ("exact" mode) or bisection of it down to tolerance
+    ("bisect" mode).  All probes and candidate families share one
+    PairGeometry of the pair, and all probes one CoverageRecord.
     """
     if mode not in (MODE_EXACT, MODE_BISECT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -121,33 +124,36 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
         # true flip when a candidate lands marginally below it
         return probe(v + 10.0 * tol.gap(v))
 
+    def narrow(cands, lo):
+        """(lo, hi] around the first of cands that probes true; the last one
+        is known to."""
+        i = _first_true(cands, probe_candidate)
+        return (cands[i - 1] if i else lo), cands[i]
+
     if probe(0.0):
         return WeakFrechetResult(0.0, 0.0, witnesses[0.0], mode, probes)
 
     # lo = 0.0 drops tolerance-zero candidates, which behave like eps = 0
-    vals = _merged_values(critical_values_C1(f, g, tol, geometry=geometry),
+    vals = _merged_values(table_critical_values(f, g, tol, geometry),
                           0.0, math.inf, tol)
     eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
     if not vals or vals[-1] < eps_max:
         vals.append(eps_max)
-
     if not probe_candidate(vals[-1]):
         # the diameter bound guarantees this never happens for valid surfaces
         raise ArithmeticError("decision failed at the diameter upper bound")
-    hi_i = _first_true(vals, probe_candidate)
-    bracket_hi = vals[hi_i]
-    bracket_lo = vals[hi_i - 1] if hi_i > 0 else 0.0
+    lo, hi = narrow(vals, 0.0)
+
+    c1 = critical_values_C1(f, g, tol, geometry=geometry, lo=lo, hi=hi)
+    lo, hi = narrow(_merged_values(c1, lo, hi, tol) + [hi], lo)
 
     if mode == MODE_EXACT:
-        c2 = critical_values_2c(f, g, bracket_lo, bracket_hi, tol,
-                                geometry=geometry)
-        cands = _merged_values(c2, bracket_lo, bracket_hi, tol) + [bracket_hi]
-        distance = cands[_first_true(cands, probe_candidate)]
+        c2 = critical_values_2c(f, g, lo, hi, tol, geometry=geometry)
+        distance = narrow(_merged_values(c2, lo, hi, tol) + [hi], lo)[1]
     else:
         # the candidate search probed with slack, so the flip may sit just
-        # above bracket_hi; widen by the slack and bisect with exact probes
-        distance = bisect_threshold(probe, bracket_lo,
-                                    bracket_hi + 10.0 * tol.gap(bracket_hi), tol)
+        # above hi; widen by the slack and bisect with exact probes
+        distance = bisect_threshold(probe, lo, hi + 10.0 * tol.gap(hi), tol)
 
     witness_eps = distance + 10.0 * tol.gap(distance) if mode == MODE_EXACT \
         else distance

@@ -9,16 +9,21 @@ import numpy as np
 from scipy import ndimage
 
 from frechet_surfaces.batched import batch_dist_point_triangle
+from frechet_surfaces.coverage import CoverageRecord
 from frechet_surfaces.criticals import (_feature_bbox, _is_nearest_feature,
-                                        _point_in_triangle_2d, _y_on_conic)
+                                        _point_in_triangle_2d, _y_on_conic,
+                                        critical_values_2c, critical_values_C1)
+from frechet_surfaces.decision import (MODE_EXACT, _first_true, _merged_values,
+                                       decide)
+from frechet_surfaces.freespace import PairGeometry
 from frechet_surfaces.geometry import (FEATURES, check_triangle,
                                        closest_segment_segment, conic_value,
                                        conic_y_resultant, dist_point_triangle,
                                        feature_sqdist_conic, perp_component,
                                        vcross3, vdist, vdot, vlerp, vnorm, vsub,
                                        vunit)
-from frechet_surfaces.scalar import DEFAULT_TOL
-from frechet_surfaces.surface import lipschitz_constant
+from frechet_surfaces.scalar import DEFAULT_TOL, bisect_threshold
+from frechet_surfaces.surface import image_diameter_bound, lipschitz_constant
 
 
 def points_triangle_dist(points, tri):
@@ -621,3 +626,43 @@ def triple_equidistance_scan(frame, tri2d, others, ranges, lo, hi,
                 if lo - tol.gap(val) <= val <= hi + tol.gap(val):
                     out.append((val, (i, j, k)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# compute's former search: all of C1 in one stage
+# ---------------------------------------------------------------------------
+
+def single_stage_compute(f, g, mode, tol=DEFAULT_TOL):
+    """compute() with one candidate stage before the last: every type
+    1/2a/2b/2d value, enumerated unbounded and merged into one list, is
+    binary-searched down to a bracket (lo, hi], which is refined as compute
+    refines it.  It shares decide() and the merge with compute, so it checks
+    the staging only.  Returns (distance, (lo, hi)), with no bracket when
+    eps = 0 decides true."""
+    geometry = PairGeometry(f, g, tol)
+    record = CoverageRecord()
+
+    def probe(eps):
+        return decide(f, g, eps, tol, validated=True, geometry=geometry,
+                      record=record)[0]
+
+    def probe_candidate(v):
+        return probe(v + 10.0 * tol.gap(v))
+
+    if probe(0.0):
+        return 0.0, None
+    vals = _merged_values(critical_values_C1(f, g, tol, geometry=geometry),
+                          0.0, math.inf, tol)
+    eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
+    if not vals or vals[-1] < eps_max:
+        vals.append(eps_max)
+    assert probe_candidate(vals[-1])
+    i = _first_true(vals, probe_candidate)
+    lo, hi = (vals[i - 1] if i else 0.0), vals[i]
+    if mode == MODE_EXACT:
+        c2 = critical_values_2c(f, g, lo, hi, tol, geometry=geometry)
+        cands = _merged_values(c2, lo, hi, tol) + [hi]
+        distance = cands[_first_true(cands, probe_candidate)]
+    else:
+        distance = bisect_threshold(probe, lo, hi + 10.0 * tol.gap(hi), tol)
+    return distance, (lo, hi)

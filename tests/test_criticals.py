@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from frechet_surfaces.geometry import (FEATURES, closest_point_segment,
                                        triangle_shape, vdist)
 from frechet_surfaces.surface import ParamTriangulation, Surface
 from frechet_surfaces import validate
-from .conftest import flat_surface, random_surface_pair, random_triangle, \
-    translate_surface
+from .conftest import (bumped_grid_surface, flat_surface, random_surface_pair,
+                       random_triangle, translate_surface)
 from .oracles import (batched_poly_roots_eig, points_triangle_dist,
                       region_breakpoints_loops, triple_equidistance_scan)
 from .test_decision import _count_calls
@@ -504,3 +505,69 @@ def test_feature_ranges_bound_sampled_distances(rng):
                         for p in pts:
                             d = _feature_distance(p, ti, feat)
                             assert lb - 1e-12 <= d <= ub + 1e-12, (feat, lb, d, ub)
+
+
+def _edge_range(geo, on_f, e, i):
+    """[edge distance, larger endpoint distance] of image edge e of one
+    surface to image triangle i of the other, read from the pair geometry."""
+    edge_dist, vertex_dist = ((geo.f_edge_dist, geo.f_vertex_dist) if on_f
+                              else (geo.g_edge_dist, geo.g_vertex_dist))
+    return edge_dist[e][i], max(vertex_dist[e[0]][i], vertex_dist[e[1]][i])
+
+
+def test_t2b_values_lie_in_both_edge_ranges(rng):
+    # the ranges C1 prunes T2b with hold every value far within their pad
+    # (1e-4 at unit scale), on random pairs and the T = 8 and 32 grids
+    pairs = [random_surface_pair(rng, tri_range=(4, 6)) for _ in range(3)]
+    pairs += [(bumped_grid_surface(n, n, 0.25, (0.0, 0.0, 0.0)),
+               bumped_grid_surface(n, n, 0.20, (0.05, -0.04, 0.3))) for n in (2, 4)]
+    checked = 0
+    for f, g in pairs:
+        geo = PairGeometry(f, g)
+        for on_f, se, st in ((True, f, g), (False, g, f)):
+            edges = se.param.edges()
+            # five sampled edges per side keep the T = 32 grid cheap
+            for k in sorted(rng.choice(len(edges), min(len(edges), 5), replace=False)):
+                e = edges[k]
+                seg = se.image_segment(e)
+                for i, j in combinations(range(st.n_triangles), 2):
+                    for v in equidistance_values_on_segment(
+                            seg, st.image_triangle(i), st.image_triangle(j)):
+                        for t in (i, j):
+                            lb, ub = _edge_range(geo, on_f, e, t)
+                            slack = 1e-9 * max(1.0, v)
+                            assert lb - slack <= v <= ub + slack, (e, t, lb, v, ub)
+                        checked += 1
+    assert checked >= 200
+
+
+def test_bounded_C1_is_the_unbounded_list_inside_the_bounds(rng, monkeypatch):
+    pruned = 0
+    for _ in range(4):
+        f, g = random_surface_pair(rng, tri_range=(4, 6))
+        full = critical_values_C1(f, g)
+        values = sorted({cv.value for cv in full})
+        mids = [0.5 * (a + b) for a, b in zip(values, values[1:])]
+        windows = [(values[0], values[-1])]
+        for ends in (values, mids):
+            for _ in range(6):
+                a, b = sorted(rng.choice(len(ends), 2, replace=False))
+                windows.append((ends[a], ends[b]))
+        for lo, hi in windows:
+            assert critical_values_C1(f, g, lo=lo, hi=hi) == \
+                [cv for cv in full if lo <= cv.value <= hi], (lo, hi)
+        # the window of one T2b value solves fewer triples, and finds it
+        t2b = [cv for cv in full if cv.kind == "T2b"]
+        if not t2b:
+            continue
+        v = t2b[len(t2b) // 2].value
+        calls = _count_calls(monkeypatch, criticals, "equidistance_values_on_segment")
+        critical_values_C1(f, g)
+        n_full = len(calls)
+        calls.clear()
+        assert [cv for cv in critical_values_C1(f, g, lo=v, hi=v)
+                if cv.kind == "T2b"] == [cv for cv in t2b if cv.value == v]
+        assert 0 < len(calls) < n_full
+        monkeypatch.undo()
+        pruned += 1
+    assert pruned >= 2

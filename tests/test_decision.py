@@ -6,14 +6,14 @@ import pytest
 from frechet_surfaces import (ValidationError, compute, decide,
                               critical_values_2c, critical_values_C1,
                               hausdorff_sampled)
-from frechet_surfaces import coverage, freespace
+from frechet_surfaces import coverage, decision, freespace
 from frechet_surfaces.decision import MODE_BISECT, MODE_EXACT
 from frechet_surfaces.geometry import dist_point_triangle
 from frechet_surfaces.surface import sample_image_points
 from .conftest import (bumped_grid_surface, flat_surface, random_surface,
                        random_surface_pair, translate_surface,
                        two_triangle_square)
-from .oracles import rasterized_decide, rasterized_margin
+from .oracles import rasterized_decide, rasterized_margin, single_stage_compute
 
 
 def test_decide_identity_at_zero(rng):
@@ -267,3 +267,55 @@ def test_decide_below_cell_distances_computes_no_boundary_distance(monkeypatch):
     assert calls == []
     assert decide(f, g, 1.5)[0]
     assert calls
+
+
+def _final_brackets(monkeypatch):
+    """The (lo, hi) that each compute() call hands its last stage:
+    critical_values_2c's bracket in exact mode, and bisect_threshold's
+    bracket, hi widened by the probe slack, in bisect mode."""
+    seen = []
+    c2, bisect = decision.critical_values_2c, decision.bisect_threshold
+
+    def spy_c2(f, g, lo, hi, *args, **kwargs):
+        seen.append((lo, hi))
+        return c2(f, g, lo, hi, *args, **kwargs)
+
+    def spy_bisect(pred, lo, hi, tol):
+        seen.append((lo, hi))
+        return bisect(pred, lo, hi, tol)
+    monkeypatch.setattr(decision, "critical_values_2c", spy_c2)
+    monkeypatch.setattr(decision, "bisect_threshold", spy_bisect)
+    return seen
+
+
+def _sandwich_sized_pairs(rng):
+    """Random pairs with the benchmark's sandwich triangle counts."""
+    pairs = []
+    for n_f, n_g in ((4, 6), (6, 8), (8, 10), (10, 4)):
+        f = random_surface(rng, n_interior=(n_f - 2) // 2)
+        g = random_surface(rng, n_interior=(n_g - 2) // 2)
+        shift = tuple(float(c) for c in rng.uniform(-0.6, 0.6, size=3))
+        pairs.append((f, translate_surface(g, shift)))
+    return pairs
+
+
+def test_staged_search_ends_in_the_single_stage_bracket(rng, monkeypatch):
+    # bracketing with the table families first, then with T2b inside that
+    # bracket, ends in the bracket of one search over all of C1, so both
+    # modes return the same float
+    from frechet_surfaces import DEFAULT_TOL
+    seen = _final_brackets(monkeypatch)
+    pairs = [random_surface_pair(rng, tri_range=(4, 6)) for _ in range(14)]
+    for f, g in pairs + _sandwich_sized_pairs(rng):
+        for mode in (MODE_EXACT, MODE_BISECT):
+            seen.clear()
+            res = compute(f, g, mode=mode)
+            distance, bracket = single_stage_compute(f, g, mode)
+            assert res.distance == distance, mode
+            lo, hi = bracket
+            if mode == MODE_BISECT:
+                hi += 10.0 * DEFAULT_TOL.gap(hi)
+            assert seen == [(lo, hi)], mode
+            trues = [e for e, ok in res.probes if ok]
+            falses = [e for e, ok in res.probes if not ok]
+            assert min(trues) >= max(falses), res.probes

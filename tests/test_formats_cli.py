@@ -265,6 +265,17 @@ def test_decide_witness_and_graph_dump(tmp_path, capsys):
     assert "vertices" in text and "eps" in text
 
 
+def test_unwritable_output_path_exit_2(tmp_path, capsys):
+    # writing to a directory is an input error, not a "false" verdict
+    pa = write_surface(tmp_path / "a.json", flat_surface())
+    for args in (["decide", pa, pa, "--eps", "3", "--dump-graph", str(tmp_path)],
+                 ["dump-svg", "arrangement", pa, pa, "--eps", "3",
+                  "--svg", str(tmp_path)]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert err.startswith("error: "), err
+
+
 def test_compute_json_and_byte_stability(tmp_path, capsys):
     f = flat_surface()
     g = translate_surface(f, (0.0, 0.0, 0.25))
@@ -309,6 +320,14 @@ def test_criticals_with_2c(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.strip().splitlines()[1])
     assert any(c["kind"] == "T2c" for c in doc["criticals"])
+
+
+def test_criticals_with_2c_rejects_empty_range(tmp_path, capsys):
+    pa = write_surface(tmp_path / "a.json", flat_surface())
+    code, out, err = run_cli(["criticals", pa, pa, "--with-2c", "3", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "LO <= HI" in err
 
 
 def test_semi_stream(tmp_path, capsys):

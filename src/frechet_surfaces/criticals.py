@@ -192,9 +192,8 @@ def table_critical_values(f, g, tol=DEFAULT_TOL, geometry=None):
     return dedup_critical_values(vals, tol)
 
 
-def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0, hi=math.inf):
-    """The type 1/2a/2b/2d candidates in [lo, hi], sorted ascending and
-    deduplicated per kind: the entries of the unbounded list in [lo, hi].
+def t2b_critical_values(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0, hi=math.inf):
+    """The T2b candidates near [lo, hi], sorted ascending and deduplicated.
 
     A T2b value of edge e and triangles i, j is the common distance at a
     point of e.  The distance to a convex set is convex along a segment, so
@@ -202,10 +201,10 @@ def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0, hi=math.inf
     both (e, i) and (e, j), read from `geometry`.  T2b is enumerated only for
     the (e, i) whose range meets [lo, hi] and the pairs whose ranges meet,
     within a pad far above rounding; every T2b value near [lo, hi] is found,
-    so the per-kind dedup keeps the unbounded list's entries unless a chain
+    so the dedup keeps the unbounded list's entries in [lo, hi] unless a chain
     of values, each within the dedup radius of the next, spans the pad."""
     geometry = PairGeometry.of(f, g, tol, geometry)
-    vals = table_critical_values(f, g, tol, geometry)
+    vals = []
     pad = 1e-4 * max(1.0, hi)
     for (tagE, tagT, se, tris, edge_dist, vertex_dist) in (
             ("K-edge", "L-tris", f, geometry.g_tris, geometry.f_edge_dist,
@@ -228,6 +227,15 @@ def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0, hi=math.inf
                 for v in equidistance_values_on_segment(seg, tris[i], tris[j], tol,
                                                         features=(feats[i], feats[j])):
                     vals.append(CriticalValue(v, "T2b", (tagE, e, tagT, (i, j))))
+    return dedup_critical_values(vals, tol)
+
+
+def critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0, hi=math.inf):
+    """The type 1/2a/2b/2d candidates in [lo, hi], sorted ascending and
+    deduplicated per kind: the table and T2b lists, merged unchanged."""
+    geometry = PairGeometry.of(f, g, tol, geometry)
+    vals = table_critical_values(f, g, tol, geometry) + t2b_critical_values(
+        f, g, tol, geometry, lo, hi)
     return [cv for cv in dedup_critical_values(vals, tol) if lo <= cv.value <= hi]
 
 

@@ -15,8 +15,8 @@ import numpy as np
 from .scalar import DEFAULT_TOL, bisect_threshold
 from .batched import batch_dist_point_triangle
 from .coverage import CoverageRecord, component_extensive
-from .criticals import (critical_values_C1, critical_values_2c,
-                        table_critical_values)
+from .criticals import (critical_values_2c, dedup_critical_values,
+                        t2b_critical_values, table_critical_values)
 from .freespace import PairGeometry, build_graph
 from .surface import (image_diameter_bound, require_valid, sample_image_points)
 
@@ -96,9 +96,9 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     sorted, merged candidates that probes true: the families read from the
     pair's tables (types 1/2a/2d), then every type-1/2a/2b/2d value inside
     that bracket (T2b enumerated only there), then the type-2c values inside
-    the last bracket ("exact" mode) or bisection of it down to tolerance
-    ("bisect" mode).  All probes and candidate families share one
-    PairGeometry of the pair, and all probes one CoverageRecord.
+    the last bracket if a probe just below its top is true ("exact" mode) or
+    bisection of it to tolerance ("bisect" mode).  All probes and candidate
+    families share one PairGeometry of the pair, all probes one CoverageRecord.
     """
     if mode not in (MODE_EXACT, MODE_BISECT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -134,8 +134,8 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
         return WeakFrechetResult(0.0, 0.0, witnesses[0.0], mode, probes)
 
     # lo = 0.0 drops tolerance-zero candidates, which behave like eps = 0
-    vals = _merged_values(table_critical_values(f, g, tol, geometry),
-                          0.0, math.inf, tol)
+    table = table_critical_values(f, g, tol, geometry)
+    vals = _merged_values(table, 0.0, math.inf, tol)
     eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
     if not vals or vals[-1] < eps_max:
         vals.append(eps_max)
@@ -144,12 +144,19 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
         raise ArithmeticError("decision failed at the diameter upper bound")
     lo, hi = narrow(vals, 0.0)
 
-    c1 = critical_values_C1(f, g, tol, geometry=geometry, lo=lo, hi=hi)
+    t2b = t2b_critical_values(f, g, tol, geometry, lo, hi)
+    c1 = dedup_critical_values(table + t2b, tol)  # critical_values_C1, unfiltered
     lo, hi = narrow(_merged_values(c1, lo, hi, tol) + [hi], lo)
 
     if mode == MODE_EXACT:
-        c2 = critical_values_2c(f, g, lo, hi, tol, geometry=geometry)
-        distance = narrow(_merged_values(c2, lo, hi, tol) + [hi], lo)[1]
+        # a 2c value v merges only below hi - 10 gap(hi) and wins only if
+        # v + 10 gap(v) probes true, so a false probe there settles on hi
+        below = hi - 10.0 * tol.gap(hi)
+        if below <= lo or not probe(below):
+            distance = hi
+        else:
+            c2 = critical_values_2c(f, g, lo, hi, tol, geometry=geometry)
+            distance = narrow(_merged_values(c2, lo, hi, tol) + [hi], lo)[1]
     else:
         # the candidate search probed with slack, so the flip may sit just
         # above hi; widen by the slack and bisect with exact probes

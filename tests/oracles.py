@@ -10,9 +10,13 @@ from scipy import ndimage
 
 from frechet_surfaces.batched import batch_dist_point_triangle
 from frechet_surfaces.coverage import CoverageRecord
-from frechet_surfaces.criticals import (_feature_bbox, _is_nearest_feature,
+from frechet_surfaces.criticals import (CriticalValue, _feature_bbox,
+                                        _is_nearest_feature,
                                         _point_in_triangle_2d, _y_on_conic,
-                                        critical_values_2c, critical_values_C1)
+                                        critical_values_2c, critical_values_C1,
+                                        dedup_critical_values,
+                                        equidistance_values_on_segment,
+                                        segment_features, table_critical_values)
 from frechet_surfaces.decision import (MODE_EXACT, _first_true, _merged_values,
                                        decide)
 from frechet_surfaces.freespace import PairGeometry
@@ -626,6 +630,41 @@ def triple_equidistance_scan(frame, tri2d, others, ranges, lo, hi,
                 if lo - tol.gap(val) <= val <= hi + tol.gap(val):
                     out.append((val, (i, j, k)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# critical_values_C1 as one enumeration, before T2b was split out of it
+# ---------------------------------------------------------------------------
+
+def unsplit_critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0,
+                               hi=math.inf):
+    """A frozen copy of critical_values_C1 from before its T2b enumeration
+    became a function of its own: the table values and the T2b values near
+    [lo, hi] deduplicated in one list, then cut to [lo, hi]."""
+    geometry = PairGeometry.of(f, g, tol, geometry)
+    vals = table_critical_values(f, g, tol, geometry)
+    pad = 1e-4 * max(1.0, hi)
+    for (tagE, tagT, se, tris, edge_dist, vertex_dist) in (
+            ("K-edge", "L-tris", f, geometry.g_tris, geometry.f_edge_dist,
+             geometry.f_vertex_dist),
+            ("L-edge", "K-tris", g, geometry.f_tris, geometry.g_edge_dist,
+             geometry.g_vertex_dist)):
+        edges = se.param.edges()
+        lbs = np.array([edge_dist[e] for e in edges])
+        ends = np.array(vertex_dist)[np.array(edges)]
+        ubs = np.maximum(ends[:, 0], ends[:, 1]) + pad
+        for e, lb, ub, live in zip(edges, lbs, ubs, (lbs <= hi + pad) & (ubs >= lo)):
+            idx = np.flatnonzero(live)
+            lb, ub = lb[idx], ub[idx]
+            meet = np.triu((lb[:, None] <= ub) & (lb <= ub[:, None]), 1)
+            seg = se.image_segment(e)
+            feats = {i: segment_features(seg, tris[i])
+                     for i in idx[meet.any(axis=0) | meet.any(axis=1)].tolist()}
+            for i, j in idx[np.argwhere(meet)].tolist():
+                for v in equidistance_values_on_segment(seg, tris[i], tris[j], tol,
+                                                        features=(feats[i], feats[j])):
+                    vals.append(CriticalValue(v, "T2b", (tagE, e, tagT, (i, j))))
+    return [cv for cv in dedup_critical_values(vals, tol) if lo <= cv.value <= hi]
 
 
 # ---------------------------------------------------------------------------

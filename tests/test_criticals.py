@@ -20,7 +20,8 @@ from frechet_surfaces import validate
 from .conftest import (bumped_grid_surface, flat_surface, random_surface_pair,
                        random_triangle, translate_surface)
 from .oracles import (batched_poly_roots_eig, points_triangle_dist,
-                      region_breakpoints_loops, triple_equidistance_scan)
+                      region_breakpoints_loops, triple_equidistance_scan,
+                      unsplit_critical_values_C1)
 from .test_decision import _count_calls
 
 
@@ -571,3 +572,23 @@ def test_bounded_C1_is_the_unbounded_list_inside_the_bounds(rng, monkeypatch):
         monkeypatch.undo()
         pruned += 1
     assert pruned >= 2
+
+
+def test_C1_equals_the_unsplit_enumeration(rng):
+    # the table values and the T2b values are deduplicated apart and then
+    # merged; dedup works per kind, so that is the one list, float for float
+    pairs = [random_surface_pair(rng, d=d, tri_range=(4, 8))
+             for d in (2, 3) for _ in range(4)]
+    pairs.append((bumped_grid_surface(2, 2, 0.25, (0.0, 0.0, 0.0)),
+                  bumped_grid_surface(2, 2, 0.20, (0.05, -0.04, 0.3))))
+    for f, g in pairs:
+        full = critical_values_C1(f, g)
+        assert repr(full) == repr(unsplit_critical_values_C1(f, g))
+        values = [cv.value for cv in full]
+        n = len(values)
+        for lo, hi in ((values[n // 4], values[n // 2]),
+                       (values[n // 2], values[-1]),
+                       (0.5 * (values[0] + values[1]), values[n // 3]),
+                       (values[n // 3], values[n // 3])):
+            assert repr(critical_values_C1(f, g, lo=lo, hi=hi)) == \
+                repr(unsplit_critical_values_C1(f, g, lo=lo, hi=hi)), (lo, hi)

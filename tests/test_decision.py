@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from frechet_surfaces import (ValidationError, compute, decide,
-                              critical_values_2c, critical_values_C1,
-                              hausdorff_sampled)
+from frechet_surfaces import (ParamTriangulation, Surface, ValidationError,
+                              compute, decide, critical_values_2c,
+                              critical_values_C1, hausdorff_sampled)
 from frechet_surfaces import coverage, decision, freespace
 from frechet_surfaces.decision import MODE_BISECT, MODE_EXACT
 from frechet_surfaces.geometry import dist_point_triangle
@@ -271,8 +271,9 @@ def test_decide_below_cell_distances_computes_no_boundary_distance(monkeypatch):
 
 def _final_brackets(monkeypatch):
     """The (lo, hi) that each compute() call hands its last stage:
-    critical_values_2c's bracket in exact mode, and bisect_threshold's
-    bracket, hi widened by the probe slack, in bisect mode."""
+    critical_values_2c's bracket in exact mode, when it enumerates 2c, and
+    bisect_threshold's bracket, hi widened by the probe slack, in bisect
+    mode."""
     seen = []
     c2, bisect = decision.critical_values_2c, decision.bisect_threshold
 
@@ -299,10 +300,18 @@ def _sandwich_sized_pairs(rng):
     return pairs
 
 
+def _assert_monotone(probes):
+    trues = [e for e, ok in probes if ok]
+    falses = [e for e, ok in probes if not ok]
+    assert min(trues) >= max(falses), probes
+
+
 def test_staged_search_ends_in_the_single_stage_bracket(rng, monkeypatch):
     # bracketing with the table families first, then with T2b inside that
-    # bracket, ends in the bracket of one search over all of C1, so both
-    # modes return the same float
+    # bracket, ends in the bracket (lo, hi] of one search over all of C1, so
+    # both modes return the same float.  Exact mode then probes just below
+    # hi, outside its dedup radius: false settles on hi, and true hands
+    # (lo, hi) to the type-2c enumeration
     from frechet_surfaces import DEFAULT_TOL
     seen = _final_brackets(monkeypatch)
     pairs = [random_surface_pair(rng, tri_range=(4, 6)) for _ in range(14)]
@@ -313,9 +322,105 @@ def test_staged_search_ends_in_the_single_stage_bracket(rng, monkeypatch):
             distance, bracket = single_stage_compute(f, g, mode)
             assert res.distance == distance, mode
             lo, hi = bracket
+            below = hi - 10.0 * DEFAULT_TOL.gap(hi)
             if mode == MODE_BISECT:
-                hi += 10.0 * DEFAULT_TOL.gap(hi)
-            assert seen == [(lo, hi)], mode
-            trues = [e for e, ok in res.probes if ok]
-            falses = [e for e, ok in res.probes if not ok]
-            assert min(trues) >= max(falses), res.probes
+                assert seen == [(lo, hi + 10.0 * DEFAULT_TOL.gap(hi))]
+            elif (below, False) in res.probes:
+                assert seen == [] and res.distance == hi
+            else:
+                assert (below, True) in res.probes
+                assert seen == [(lo, hi)]
+            _assert_monotone(res.probes)
+
+
+def test_exact_compute_enumerates_no_2c_on_sandwich_sized_pairs(rng, monkeypatch):
+    # the probe just below the bracket top is false on these pairs, so exact
+    # mode returns the top without the type-2c enumeration, and the same
+    # float as the search that enumerates it
+    calls = _count_calls(monkeypatch, decision, "critical_values_2c")
+    pairs = _sandwich_sized_pairs(rng) + [
+        random_surface_pair(rng, d=d, tri_range=(4, 6))
+        for d in (2, 3) for _ in range(5)]
+    for f, g in pairs:
+        res = compute(f, g, mode=MODE_EXACT)
+        assert calls == []
+        assert res.distance == single_stage_compute(f, g, MODE_EXACT)[0]
+        _assert_monotone(res.probes)
+
+
+def _ring_pair():
+    """A pair whose weak Fréchet distance is a type-2c value.
+
+    f is a flat triangle in z = 0, split into two triangles at the midpoint
+    of one side.  g is a ring of six triangles between f's outline and a
+    small inner triangle, off centre and lifted a little at its vertices:
+    the unit square bent round with its left and right sides glued.  g lies
+    within 0.11 of f, and the point of f farthest from g is inside the hole,
+    equidistant from the three inner edges."""
+    angles = [math.pi / 2 + 2.0 * math.pi * k / 3 for k in range(3)]
+    outer = [(3.0 * math.cos(a), 3.0 * math.sin(a), 0.0) for a in angles]
+    inner = [(0.3 + 0.5 * math.cos(a + 0.2), 0.1 + 0.5 * math.sin(a + 0.2), h)
+             for a, h in zip(angles, (0.05, 0.08, 0.11))]
+    a, b, c = outer
+    mid = tuple(0.5 * (p + q) for p, q in zip(b, c))
+    f = Surface.create(
+        ParamTriangulation.create([(0, 0), (1, 0), (1, 1), (0, 1)],
+                                  [(0, 1, 3), (1, 2, 3)]),
+        [b, mid, c, a])
+    verts, imgs = [], []
+    for k in range(4):
+        verts += [(k / 3, 0.0), (k / 3, 1.0)]
+        imgs += [outer[k % 3], inner[k % 3]]
+    tris = [t for k in range(3) for t in ((2 * k, 2 * k + 2, 2 * k + 3),
+                                          (2 * k, 2 * k + 3, 2 * k + 1))]
+    g = Surface.create(ParamTriangulation.create(verts, tris), imgs)
+    return f, g
+
+
+def test_exact_compute_enumerates_2c_when_the_probe_below_the_top_is_true(
+        monkeypatch):
+    from frechet_surfaces import DEFAULT_TOL, validate
+    f, g = _ring_pair()
+    assert validate(f) == [] and validate(g) == []
+    seen = _final_brackets(monkeypatch)
+    res = compute(f, g, mode=MODE_EXACT)
+    distance, (lo, hi) = single_stage_compute(f, g, MODE_EXACT)
+    assert res.distance == distance
+    # the probe below the bracket top is true, so 2c is enumerated in the
+    # bracket, and the answer is a type-2c value far from every C1 value
+    assert (hi - 10.0 * DEFAULT_TOL.gap(hi), True) in res.probes
+    assert seen == [(lo, hi)]
+    assert distance < hi - 10.0 * DEFAULT_TOL.gap(hi)
+    assert "T2c" in {cv.kind for cv in critical_values_2c(f, g, lo, hi)
+                     if cv.value == distance}
+    assert all(abs(cv.value - distance) > 1e-3 for cv in critical_values_C1(f, g))
+    bisect = compute(f, g, mode=MODE_BISECT).distance
+    assert abs(bisect - distance) <= 10.0 * DEFAULT_TOL.gap(distance)
+    _assert_monotone(res.probes)
+
+
+def test_exact_compute_ends_without_a_probe_in_a_bracket_within_its_top_radius(
+        monkeypatch):
+    # the stage brackets are spaced by the dedup radius, except below the
+    # diameter bound, which is appended to the table values as it is.  With
+    # that bound a little under the distance and one table value within its
+    # radius, no type-2c value can merge into the bracket: exact mode returns
+    # its top with neither the probe below it nor the 2c enumeration
+    from frechet_surfaces import DEFAULT_TOL
+    from frechet_surfaces.criticals import CriticalValue
+    f = flat_surface()
+    g = translate_surface(f, (0.0, 0.0, 0.5))
+    gap = DEFAULT_TOL.gap(0.5)
+    diameter = (0.5 - 5.0 * gap) / (1.0 + 1e-9)
+    hi = diameter * (1.0 + 1e-9) + DEFAULT_TOL.abs + 1e-12
+    lo = hi - 9.9 * gap
+    monkeypatch.setattr(decision, "image_diameter_bound", lambda f, g: diameter)
+    monkeypatch.setattr(decision, "table_critical_values",
+                        lambda *args: [CriticalValue(lo, "T1", ())])
+    monkeypatch.setattr(decision, "t2b_critical_values", lambda *args: [])
+    calls = _count_calls(monkeypatch, decision, "critical_values_2c")
+    res = compute(f, g, mode=MODE_EXACT)
+    assert res.distance == hi
+    assert res.probes == [(0.0, False), (hi + 10.0 * gap, True),
+                          (lo + 10.0 * gap, False)]
+    assert calls == []

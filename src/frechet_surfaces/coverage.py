@@ -9,10 +9,12 @@ arrangement face; each face is then classified by the direct distance
 predicate, so correctness never depends on arc orientation bookkeeping.
 """
 
+import math
+
 from .scalar import DEFAULT_TOL, within
 from .geometry import (OverlappingArcsError, arc_pair_intersections,
                        dist_point_triangle, eps_neighborhood_plane_boundary,
-                       frame_of_triangle, make_segment_arc, SLICE_EMPTY)
+                       frame_of_triangle, make_segment_arc, triangle_shape)
 
 
 def _point_covered(p, partner_tris, eps, tol):
@@ -51,22 +53,30 @@ def _collect_events(curves, tol):
 
 def arrangement(tri_img, partner_tris, eps, tol=DEFAULT_TOL):
     """The arrangement that the partners' eps-neighborhood boundaries cut in
-    an image triangle, in the frame of frame_of_triangle(tri_img).
+    an image triangle, built at unit scale: the triangle, its partners and
+    eps are multiplied by the exact power of two 2^-k that puts the
+    triangle's span (see geometry.triangle_shape) in [0.5, 1), and the plane
+    is the frame_of_triangle of the scaled triangle.
 
-    Returns (tri2d, arcs, faces): the triangle in plane coordinates, the
-    boundary arcs that reach near it, and a lazy sequence of
-    (point, covered) pairs, one per face piece of each slab, where point is
-    a plane point inside the piece and covered tells whether its image lies
-    in a partner's neighborhood.
+    Returns (tri2d, arcs, faces), all in that frame: the triangle, the
+    boundary arcs that reach near it, and a lazy sequence of (point, covered)
+    pairs, one per face piece of each slab, where point is a plane point
+    inside the piece and covered tells whether its image, scaled back by 2^k,
+    lies in a partner's neighborhood at the original coordinates and eps.
     """
-    frame = frame_of_triangle(tri_img, tol)
-    tri2d = [frame.to_plane(v) for v in tri_img]
+    k = math.frexp(triangle_shape(tri_img, tol.rel)[1])[1]
+
+    def unit(p):
+        return tuple(math.ldexp(c, -k) for c in p)
+
+    tri_unit = [unit(v) for v in tri_img]
+    frame = frame_of_triangle(tri_unit, tol)
+    tri2d = [frame.to_plane(v) for v in tri_unit]
     arcs = []
     # a negative eps has empty neighborhoods: no arcs, every face uncovered
     for tri in (partner_tris if eps >= 0.0 else []):
-        sl = eps_neighborhood_plane_boundary(tri, eps, frame, tol)
-        if sl.status != SLICE_EMPTY:
-            arcs.extend(sl.arcs)
+        arcs.extend(eps_neighborhood_plane_boundary(
+            [unit(v) for v in tri], math.ldexp(eps, -k), frame, tol))
 
     # prune arcs far outside the triangle
     txlo = min(p[0] for p in tri2d)
@@ -103,7 +113,8 @@ def arrangement(tri_img, partner_tris, eps, tol=DEFAULT_TOL):
                 if yb - ya <= tiny:
                     continue
                 p = (xm, 0.5 * (ya + yb))
-                yield p, _point_covered(frame.from_plane(p), partner_tris, eps, tol)
+                q = tuple(math.ldexp(c, k) for c in frame.from_plane(p))
+                yield p, _point_covered(q, partner_tris, eps, tol)
 
     return tri2d, kept, faces()
 

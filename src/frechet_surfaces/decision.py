@@ -133,9 +133,10 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     if probe(0.0):
         return WeakFrechetResult(0.0, 0.0, witnesses[0.0], mode, probes)
 
-    # lo = 0.0 drops tolerance-zero candidates, which behave like eps = 0
+    # lo = -inf keeps tolerance-zero candidates: probe(0.0) is false, yet a
+    # distance below 10 gaps may still merge into one of them
     table = table_critical_values(f, g, tol, geometry)
-    vals = _merged_values(table, 0.0, math.inf, tol)
+    vals = _merged_values(table, -math.inf, math.inf, tol)
     eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
     if not vals or vals[-1] < eps_max:
         vals.append(eps_max)
@@ -162,14 +163,13 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
         # above hi; widen by the slack and bisect with exact probes
         distance = bisect_threshold(probe, lo, hi + 10.0 * tol.gap(hi), tol)
 
+    # every search ends on a value whose probe was true: a candidate probed
+    # at v + 10 gap(v), or a true bisection mid, or the widened top, which
+    # is the probe point of the last bracket's top
     witness_eps = distance + 10.0 * tol.gap(distance) if mode == MODE_EXACT \
         else distance
-    witness = witnesses.get(witness_eps)
-    if witness is None:
-        ok, witness = decide(f, g, witness_eps, tol, validated=True,
-                             geometry=geometry, record=record)
-        probes.append((witness_eps, ok))
-    return WeakFrechetResult(distance, witness_eps, witness or [], mode, probes)
+    return WeakFrechetResult(distance, witness_eps, witnesses[witness_eps],
+                             mode, probes)
 
 
 def hausdorff_sampled(f, g, density, tol=DEFAULT_TOL):

@@ -7,7 +7,7 @@ versions of the distance routines are in batched.py.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -471,9 +471,6 @@ class ConicArc:
         return (self.center[0] + x * cr - y * sr,
                 self.center[1] + x * sr + y * cr)
 
-    def midpoint(self):
-        return self.point(0.5 * (self.t0 + self.t1))
-
     def endpoints(self):
         return self.point(self.t0), self.point(self.t1)
 
@@ -693,26 +690,14 @@ def clip_segment_by_halfplanes(p0, p1, halfplanes, tol=DEFAULT_TOL):
 # eps-neighborhood of a triangle intersected with a plane
 # ---------------------------------------------------------------------------
 
-SLICE_EMPTY = "empty"
-SLICE_BOUNDARY = "boundary"
-SLICE_INSIDE = "inside"  # region nonempty but contributes no boundary curve
-
-
-@dataclass
-class PlaneSlice:
-    """Boundary of {p in plane : dist(p, triangle) <= eps} as conic arcs."""
-
-    arcs: list = field(default_factory=list)
-    status: str = SLICE_BOUNDARY
-
-
 def _classify_restricted_quadric(A2, b2, c0, source, scene_halfwidth, halfplanes,
                                  tol):
-    """Zero set of a PSD quadratic on the plane, clipped by half-planes.
+    """Zero set of an edge conic on the plane, clipped by half-planes.
 
     A2 is the symmetric 2x2 quadratic part in plane coords, b2 the linear part,
-    c0 the constant:  q(w) = w^T A2 w + 2 b2 . w + c0.
-    Returns a list of ConicArcs.
+    c0 the constant:  q(w) = w^T A2 w + 2 b2 . w + c0.  A2 is I - u u^T for
+    the in-plane part u of the edge's unit direction, so its larger eigenvalue
+    is 1 and q is never affine.  Returns a list of ConicArcs.
     """
     arcs = []
     A = np.array(A2, dtype=float)
@@ -720,16 +705,6 @@ def _classify_restricted_quadric(A2, b2, c0, source, scene_halfwidth, halfplanes
     evals, evecs = np.linalg.eigh(A)
     lam_small, lam_big = float(evals[0]), float(evals[1])
     scale = max(lam_big, abs(c0), float(np.max(np.abs(b))), 1e-300)
-
-    if lam_big <= tol.rel * scale:
-        # q is affine: 2 b . w + c0 = 0
-        bn = math.hypot(b[0], b[1])
-        if bn <= tol.rel * scale:
-            return []
-        line_hps = [(2.0 * b[0], 2.0 * b[1], c0)]
-        arcs.extend(_line_to_arcs(line_hps[0], scene_halfwidth, halfplanes,
-                                  source, tol))
-        return arcs
 
     if lam_small > 1e-7 * lam_big:
         # positive definite: ellipse
@@ -798,7 +773,9 @@ def plane_triangle_distance(frame, tri):
 
 
 def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
-    """Boundary arcs of the eps-neighborhood of a triangle within a plane.
+    """Boundary arcs of the eps-neighborhood of a triangle within a plane, as
+    a list of ConicArcs; empty when the neighborhood misses or only touches
+    the plane.
 
     Assembles the level set dist(., tri) = eps from the triangle's seven
     features: three vertices (sphere cap -> circle), three edges (cylinder ->
@@ -814,7 +791,7 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
 
     dmin = plane_triangle_distance(frame, tri)
     if not within(dmin, eps, tol):
-        return PlaneSlice([], SLICE_EMPTY)
+        return []
 
     # Half-width of a box (in plane coords, around the frame origin) certain to
     # contain every boundary point of the neighborhood slice.
@@ -860,9 +837,7 @@ def eps_neighborhood_plane_boundary(tri, eps, frame, tol=DEFAULT_TOL):
                 line = (alpha, beta, gamma0 - sign * eps)
                 arcs.extend(_line_to_arcs(line, scene, hps, ("face", 0), tol))
 
-    if not arcs:
-        return PlaneSlice([], SLICE_INSIDE)
-    return PlaneSlice(arcs, SLICE_BOUNDARY)
+    return arcs
 
 
 # ---------------------------------------------------------------------------
@@ -903,12 +878,6 @@ def conic_y_resultant(c1, c2):
     return quartic, (v0, v1, v2, v3)
 
 
-def _conic_as_y_quadratic(coeffs):
-    """Return (a, b(x), c(x)) with conic = a*y^2 + b(x)*y + c(x)."""
-    A, B, C, D, E, F = coeffs
-    return C, [E, B], [F, D, A]
-
-
 def _normalize_coeffs(coeffs):
     m = max(abs(c) for c in coeffs)
     if m == 0.0:
@@ -931,92 +900,38 @@ def conics_identical(c1, c2, tol=DEFAULT_TOL):
     return all(abs(a - b) <= tol.rel for a, b in zip(n1, n2))
 
 
-def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):
-    """Intersection points of two implicit conics with x in [xlo, xhi].
+def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL):
+    """Intersection points of two implicit conics with x in [xlo, xhi], at
+    least one of them an ellipse (with a y^2 term).
 
-    Eliminates y via conic_y_resultant (degree <= 4 in x; the cubic when both
-    conics are linear in y), isolates the x-roots with the scalar kernel, then
-    recovers matching y values; a rotated retry covers near-vertical
-    pathologies.
+    Eliminates y via the quartic of conic_y_resultant, isolates its x-roots
+    with the scalar kernel, then recovers y on a conic with a y^2 term.
     """
-    if conics_identical(c1, c2, tol):
-        raise OverlappingArcsError("overlapping arcs (identical supporting conics)")
-
     s1 = max(abs(c) for c in c1)
     s2 = max(abs(c) for c in c2)
     if s1 == 0.0 or s2 == 0.0:
         return []
     c1 = [c / s1 for c in c1]
     c2 = [c / s2 for c in c2]
-
-    a1, b1, cc1 = _conic_as_y_quadratic(c1)
-    a2, b2, cc2 = _conic_as_y_quadratic(c2)
-    res, num = conic_y_resultant(c1, c2)
+    # swapping the conics negates p, q and v and leaves the resultant unchanged
+    if abs(c1[2]) <= 1e-10:
+        c1, c2 = c2, c1
+    res, _ = conic_y_resultant(c1, c2)
+    A, B, C, D, E, F = c1
 
     pts = []
-    tiny = 1e-10
-
-    if abs(a1) > tiny or abs(a2) > tiny:
-        # recover y on a conic with a y^2 term; swapping the conics negates
-        # p, q and v and leaves the resultant unchanged
-        if abs(a1) <= tiny:
-            a1, b1, cc1 = a2, b2, cc2
-            c1, c2 = c2, c1
+    try:
+        xs = real_roots(res, xlo, xhi, tol)
+    except DegeneratePolynomialError:
+        xs = []
+    for x in xs:
         try:
-            xs = real_roots(res, xlo, xhi, tol)
+            ys = quadratic_roots(C, E + B * x, F + D * x + A * x * x, tol)
         except DegeneratePolynomialError:
-            xs = []
-        for x in xs:
             ys = []
-            try:
-                ys = quadratic_roots(a1, b1[0] + b1[1] * x,
-                                     cc1[0] + cc1[1] * x + cc1[2] * x * x, tol)
-            except DegeneratePolynomialError:
-                ys = []
-            for y in ys:
-                if abs(conic_value(c2, x, y)) <= 1e-6 * (1.0 + x * x + y * y):
-                    pts.append((x, y))
-    else:
-        # both linear in y: b_i(x) y + c_i(x) = 0, and b1 c2 - b2 c1 = 0
-        try:
-            xs = real_roots(num, xlo, xhi, tol)
-        except DegeneratePolynomialError:
-            xs = []
-        for x in xs:
-            den1 = b1[0] + b1[1] * x
-            den2 = b2[0] + b2[1] * x
-            if abs(den1) > tiny:
-                y = -(cc1[0] + cc1[1] * x + cc1[2] * x * x) / den1
-            elif abs(den2) > tiny:
-                y = -(cc2[0] + cc2[1] * x + cc2[2] * x * x) / den2
-            else:
-                continue
-            if (abs(conic_value(c1, x, y)) <= 1e-6 * (1.0 + x * x + y * y)
-                    and abs(conic_value(c2, x, y)) <= 1e-6 * (1.0 + x * x + y * y)):
+        for y in ys:
+            if abs(conic_value(c2, x, y)) <= 1e-6 * (1.0 + x * x + y * y):
                 pts.append((x, y))
-        # vertical-line components (both conics independent of y at some x)
-        if _depth == 0 and not pts:
-            rot = 0.3826834323650898  # fixed angle, no special alignment
-            cr, sr = math.cos(rot), math.sin(rot)
-
-            def rot_conic(c):
-                A, B, C, D, E, F = c
-                # substitute x = cr*x' - sr*y', y = sr*x' + cr*y'
-                A2 = A * cr * cr + B * cr * sr + C * sr * sr
-                B2 = -2.0 * A * cr * sr + B * (cr * cr - sr * sr) + 2.0 * C * sr * cr
-                C2 = A * sr * sr - B * sr * cr + C * cr * cr
-                D2 = D * cr + E * sr
-                E2 = -D * sr + E * cr
-                return (A2, B2, C2, D2, E2, F)
-
-            span = max(abs(xlo), abs(xhi), 1.0) * 2.0
-            sub = conic_conic_points(rot_conic(tuple(c1)), rot_conic(tuple(c2)),
-                                     -span, span, tol, _depth=1)
-            for (xp, yp) in sub:
-                x = cr * xp - sr * yp
-                y = sr * xp + cr * yp
-                if xlo - 1e-9 <= x <= xhi + 1e-9:
-                    pts.append((x, y))
 
     # dedup
     out = []
@@ -1028,13 +943,17 @@ def conic_conic_points(c1, c2, xlo, xhi, tol=DEFAULT_TOL, _depth=0):
 
 
 def arc_pair_intersections(a, b, tol=DEFAULT_TOL):
-    """Intersection points of two coplanar arcs, within both parameter ranges."""
+    """Intersection points of two coplanar arcs, within both parameter ranges.
+
+    Two segments meet in closed form; a pair with an ellipse goes through
+    conic_conic_points.  Arcs on one supporting curve that overlap in more
+    than a point raise OverlappingArcsError."""
     if a.kind == "segment" and b.kind == "segment":
+        dx = b.p1[0] - b.p0[0]
+        dy = b.p1[1] - b.p0[1]
         if conics_identical(a.coeffs, b.coeffs, tol):
             # Same supporting line.  Touching at one point is fine; an overlap
             # of positive length is caller's problem.
-            dx = b.p1[0] - b.p0[0]
-            dy = b.p1[1] - b.p0[1]
             L2 = dx * dx + dy * dy
             if L2 == 0.0:
                 return []
@@ -1049,7 +968,21 @@ def arc_pair_intersections(a, b, tol=DEFAULT_TOL):
                 t = 0.5 * (lo + hi)
                 return [(b.p0[0] + t * dx, b.p0[1] + t * dy)]
             return []
-    elif a.kind != "segment" and b.kind != "segment":
+        # a.p0 + s (a.p1 - a.p0) = b.p0 + t (b.p1 - b.p0), by Cramer's rule
+        ex = a.p1[0] - a.p0[0]
+        ey = a.p1[1] - a.p0[1]
+        den = ex * dy - ey * dx
+        if den == 0.0:
+            return []  # parallel
+        wx = b.p0[0] - a.p0[0]
+        wy = b.p0[1] - a.p0[1]
+        s = (wx * dy - wy * dx) / den
+        t = (wx * ey - wy * ex) / den
+        slack = tol.gap(1.0) * 1e3  # the slack of param_of_point
+        if -slack <= s <= 1.0 + slack and -slack <= t <= 1.0 + slack:
+            return [(a.p0[0] + s * ex, a.p0[1] + s * ey)]
+        return []
+    if a.kind != "segment" and b.kind != "segment":
         if conics_identical(a.coeffs, b.coeffs, tol):
             raise OverlappingArcsError("overlapping arcs (identical supporting conics)")
 

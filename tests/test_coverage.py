@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
-from frechet_surfaces import (build_graph, component_extensive, coverage,
-                              triangle_covered)
+from frechet_surfaces import (DEFAULT_TOL, build_graph, component_extensive,
+                              coverage, triangle_covered)
 from frechet_surfaces.coverage import (CoverageRecord, arrangement,
                                        arrangement_svg)
 from .conftest import (bumped_grid_surface, flat_surface, grid_triangulation,
@@ -132,6 +133,44 @@ def test_coverage_vs_monte_carlo(rng, monkeypatch):
     before = len(sweeps)
     assert not triangle_covered(f, g, 0, partners, 0.02)
     assert len(sweeps) == before + 1
+
+
+def _sweep(tri, partner_tris, eps, scale):
+    """The verdict of the full sweep of one query with its images and eps
+    multiplied by scale."""
+    def scaled(t):
+        return tuple(tuple(c * scale for c in p) for p in t)
+    _, _, faces = arrangement(scaled(tri), [scaled(t) for t in partner_tris],
+                              eps * scale)
+    return all(covered for _, covered in faces)
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e-5])
+def test_sweep_verdicts_do_not_move_under_uniform_scaling(rng, scale):
+    # queries as a free-space graph poses them: eps at quantiles of the cell
+    # distances, the partners the triangles within eps
+    unscaled_abs = DEFAULT_TOL.abs / min(scale, 1.0)
+    checked = 0
+    for d in (2, 3):
+        for _ in range(8):
+            f, g = random_surface_pair(rng, d=d, tri_range=(4, 7))
+            for k in range(f.n_triangles):
+                tri = f.image_triangle(k)
+                dists = [dist_triangle_triangle(tri, g.image_triangle(l))
+                         for l in range(g.n_triangles)]
+                for eps in np.quantile(dists, [0.3, 0.5, 0.7, 0.9]).tolist():
+                    partners = [l for l in range(g.n_triangles) if dists[l] <= eps]
+                    partner_tris = [g.image_triangle(l) for l in partners]
+                    unit = _sweep(tri, partner_tris, eps, 1.0)
+                    if _sweep(tri, partner_tris, eps, scale) != unit:
+                        # a boundary case, or one that the absolute tolerance
+                        # of `within`, which does not scale, decides
+                        _, margin = mc_triangle_covered(f, g, k, partners, eps,
+                                                        rng=rng)
+                        assert margin <= max(1e-6 * eps, unscaled_abs), \
+                            (d, k, partners, eps)
+                    checked += 1
+    assert checked > 300
 
 
 def test_component_extensive_identity():

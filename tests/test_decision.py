@@ -90,6 +90,22 @@ def test_compute_translate_exact_both_modes():
             assert res.witness_component
 
 
+@pytest.mark.parametrize("h", [5e-9, 1e-10])
+def test_exact_mode_agrees_with_bisect_below_ten_gaps(h):
+    # the distance merges into a tolerance-zero table candidate
+    from frechet_surfaces import DEFAULT_TOL
+    f = flat_surface()
+    g = translate_surface(f, (h, 0.0, 0.0))
+    exact = compute(f, g, mode=MODE_EXACT)
+    bisect = compute(f, g, mode=MODE_BISECT)
+    assert not decide(f, g, 0.0)[0]
+    assert abs(exact.distance - bisect.distance) <= 10 * DEFAULT_TOL.gap(h), \
+        (exact.distance, bisect.distance)
+    for res in (exact, bisect):
+        assert res.witness_component
+        assert (res.witness_eps, True) in res.probes
+
+
 def test_modes_agree_random(rng):
     from frechet_surfaces import DEFAULT_TOL
     for _ in range(4):

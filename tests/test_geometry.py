@@ -28,7 +28,7 @@ from frechet_surfaces.geometry import (FEATURES, GeometryError,
                                        frame_of_triangle,
                                        line_sqdist_quadratic,
                                        make_ellipse_arc, make_segment_arc,
-                                       Plane2Frame, SLICE_EMPTY, SLICE_BOUNDARY,
+                                       Plane2Frame,
                                        point_sqdist_quadratic,
                                        triangle_scale, vdist, vdot, vunit)
 from .conftest import random_triangle
@@ -343,13 +343,12 @@ def test_feature_regions_name_the_nearest_feature(rng, d):
 
 def test_coplanar_offset_polygon():
     frame = frame_of_triangle(TRI)
-    sl = eps_neighborhood_plane_boundary(TRI, 0.1, frame)
-    assert sl.status == SLICE_BOUNDARY
-    kinds = sorted(a.kind for a in sl.arcs)
+    arcs = eps_neighborhood_plane_boundary(TRI, 0.1, frame)
+    kinds = sorted(a.kind for a in arcs)
     assert kinds.count("segment") == 3
     assert kinds.count("ellipse") == 3
     # vertex circles, all of radius eps
-    for a in sl.arcs:
+    for a in arcs:
         if a.kind == "ellipse":
             assert a.rx == a.ry == 0.1
 
@@ -367,19 +366,17 @@ def test_plane_frame_uses_caller_tolerance():
 
 def test_plane_too_far_is_empty():
     frame = Plane2Frame((0.0, 0.0, 0.1), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    sl = eps_neighborhood_plane_boundary(TRI, 0.05, frame)
-    assert sl.status == SLICE_EMPTY
-    assert sl.arcs == []
+    assert eps_neighborhood_plane_boundary(TRI, 0.05, frame) == []
 
 
-def _classify_by_arcs(sl, pts2d):
+def _classify_by_arcs(arcs, pts2d):
     """Point-in-region test from the arcs alone: the region is convex, so a
     vertical upward ray from an inside point crosses the boundary an odd
     number of times."""
     out = []
     for (x, y) in pts2d:
         crossings = 0
-        for arc in sl.arcs:
+        for arc in arcs:
             for yy in arc.vertical_line_hits(x):
                 if yy > y:
                     crossings += 1
@@ -395,11 +392,11 @@ def test_neighborhood_membership_oracle(rng):
         base = random_triangle(rng)
         frame = frame_of_triangle(base)
         eps = float(rng.uniform(0.2, 1.0))
-        sl = eps_neighborhood_plane_boundary(tri, eps, frame)
-        if sl.status != SLICE_BOUNDARY:
+        arcs = eps_neighborhood_plane_boundary(tri, eps, frame)
+        if not arcs:
             continue
         pts2d = rng.uniform(-2.0, 2.0, size=(400, 2))
-        arc_cls = _classify_by_arcs(sl, pts2d)
+        arc_cls = _classify_by_arcs(arcs, pts2d)
         for (x, y), inside in zip(pts2d, arc_cls):
             p3 = frame.from_plane((x, y))
             d = dist_point_triangle(p3, tri)
@@ -418,7 +415,7 @@ def test_neighborhood_monotone_in_eps(rng):
     eps1, eps2 = 0.4, 0.7
     s1 = eps_neighborhood_plane_boundary(tri, eps1, frame)
     s2 = eps_neighborhood_plane_boundary(tri, eps2, frame)
-    if s1.status != SLICE_BOUNDARY or s2.status != SLICE_BOUNDARY:
+    if not s1 or not s2:
         pytest.skip("slices degenerate for this draw")
     pts2d = rng.uniform(-2.0, 2.0, size=(300, 2))
     in1 = _classify_by_arcs(s1, pts2d)
@@ -434,11 +431,11 @@ def test_neighborhood_monotone_in_eps(rng):
 
 def test_neighborhood_2d_offset():
     tri2 = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    sl = eps_neighborhood_plane_boundary(
+    arcs = eps_neighborhood_plane_boundary(
         tri2, 0.1, Plane2Frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
-    kinds = sorted(a.kind for a in sl.arcs)
+    kinds = sorted(a.kind for a in arcs)
     assert kinds.count("segment") == 3 and kinds.count("ellipse") == 3
-    assert all(a.rx == a.ry == 0.1 for a in sl.arcs if a.kind == "ellipse")
+    assert all(a.rx == a.ry == 0.1 for a in arcs if a.kind == "ellipse")
 
 
 def test_arc_residuals(rng):
@@ -446,8 +443,7 @@ def test_arc_residuals(rng):
     tri = random_triangle(rng)
     base = random_triangle(rng)
     frame = frame_of_triangle(base)
-    sl = eps_neighborhood_plane_boundary(tri, 0.5, frame)
-    for arc in sl.arcs:
+    for arc in eps_neighborhood_plane_boundary(tri, 0.5, frame):
         for p in arc.sample(9):
             # every arc point sits at distance eps from the triangle
             d = dist_point_triangle(frame.from_plane(p), tri)
@@ -549,6 +545,8 @@ def test_conic_y_resultant_vanishes_at_intersections(rng, y_squared):
         for x, _ in (p, q):
             value = sum(c * x ** i for i, c in enumerate(poly))
             assert abs(value) <= 1e-9 * sum(abs(c * x ** i) for i, c in enumerate(poly))
+        if not any(y_squared):
+            continue  # no arc is a curved conic linear in y
         pts = conic_conic_points(c1, c2, -1.5, 1.5)
         for r in (p, q):
             assert min(math.dist(r, s) for s in pts) < 1e-6
@@ -600,6 +598,34 @@ def test_segment_circle_intersections(rng):
     assert abs(pts[0][0] + x) < 1e-9 and abs(pts[1][0] - x) < 1e-9
 
 
+@pytest.mark.parametrize("a, b, expected", [
+    (((0.0, 0.0), (2.0, 2.0)), ((0.0, 2.0), (2.0, 0.0)), [(1.0, 1.0)]),
+    (((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 1.0)), [(1.0, 0.0)]),
+    (((0.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (1.0, 1.0)), []),
+    (((0.0, 0.0), (0.0, 1.0)), ((0.5, 0.0), (0.5, 1.0)), []),
+    (((0.5, -1.0), (0.5, 1.0)), ((0.0, 0.0), (1.0, 0.5)), [(0.5, 0.25)]),
+    (((0.5, -1.0), (0.5, 1.0)), ((0.0, 0.0), (0.25, 0.5)), []),
+], ids=["crossing", "endpoint_touch", "parallel", "two_vertical",
+        "vertical_slanted", "vertical_slanted_apart"])
+def test_segment_pair_crossing_in_closed_form(a, b, expected):
+    for first, second in ((a, b), (b, a)):
+        pts = arc_pair_intersections(make_segment_arc(*first),
+                                     make_segment_arc(*second))
+        assert len(pts) == len(expected)
+        for p, q in zip(pts, expected):
+            assert math.dist(p, q) < 1e-12
+
+
+def test_collinear_segment_overlap_raises():
+    a = make_segment_arc((0.0, 0.0), (1.0, 1.0))
+    b = make_segment_arc((0.5, 0.5), (2.0, 2.0))
+    with pytest.raises(OverlappingArcsError):
+        arc_pair_intersections(a, b)
+    # collinear segments that touch at one end meet in that point
+    c = make_segment_arc((1.0, 1.0), (2.0, 2.0))
+    assert arc_pair_intersections(a, c) == [(1.0, 1.0)]
+
+
 def test_random_arc_intersections_vs_sampling(rng):
     from .conftest import random_triangle
     # build arcs from real neighborhood slices and compare against dense
@@ -611,8 +637,8 @@ def test_random_arc_intersections_vs_sampling(rng):
     s1 = eps_neighborhood_plane_boundary(tri1, 0.6, frame)
     s2 = eps_neighborhood_plane_boundary(tri2, 0.6, frame)
     count_checked = 0
-    for a in s1.arcs:
-        for b in s2.arcs:
+    for a in s1:
+        for b in s2:
             try:
                 pts = arc_pair_intersections(a, b)
             except OverlappingArcsError:

@@ -201,17 +201,17 @@ def _split(a):
 
 
 def _table(kernel, rows, tris, tol):
-    """kernel(row, triangle) for every row and image triangle, as a list of
-    rows of floats; every triangle is checked first, as the scalar routines
-    check it."""
+    """kernel(row, triangle) for every row and image triangle, as a float64
+    array of shape (rows, triangles); every triangle is checked first, as the
+    scalar routines check it."""
     for tri in tris:
         check_triangle(tri, tol)
     cols = _split(np.asarray(tris, dtype=float)[None])
     rows = np.asarray(rows, dtype=float)
     step = max(1, _TABLE_LANES // len(tris))
-    out = []
+    out = np.empty((len(rows), len(tris)))
     for start in range(0, len(rows), step):
-        out.extend(kernel(_split(rows[start:start + step, None]), cols).tolist())
+        out[start:start + step] = kernel(_split(rows[start:start + step, None]), cols)
     return out
 
 

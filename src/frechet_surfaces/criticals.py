@@ -10,6 +10,7 @@ Kinds:
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -136,37 +137,37 @@ def parallel_pair_values(f, g, tol=DEFAULT_TOL, geometry=None):
     and triangle distances are read from the pair's PairGeometry."""
     geometry = PairGeometry.of(f, g, tol, geometry)
     out = []
-    f_edges = [(e, f.image_segment(e)) for e in f.param.edges()]
-    g_edges = [(e, g.image_segment(e)) for e in g.param.edges()]
-    f_units = [vunit(vsub(s[1], s[0])) for _, s in f_edges]
-    g_units = [vunit(vsub(s[1], s[0])) for _, s in g_edges]
+    f_segs = [f.image_segment(e) for e in geometry.f_edges]
+    g_segs = [g.image_segment(e) for e in geometry.g_edges]
+    f_units = [vunit(vsub(s[1], s[0])) for s in f_segs]
+    g_units = [vunit(vsub(s[1], s[0])) for s in g_segs]
     # None for a triangle in the plane (d = 2): such triangles all share the
     # plane, and no pair of them is reported
     f_normals = [triangle_unit_normal(t) for t in geometry.f_tris]
     g_normals = [triangle_unit_normal(t) for t in geometry.g_tris]
     zero = lambda x: x <= 1e-9
 
-    for (ek, sk), uk in zip(f_edges, f_units):
-        for (el, sl), ul in zip(g_edges, g_units):
+    for ek, (edge_k, sk, uk) in enumerate(zip(geometry.f_edges, f_segs, f_units)):
+        for edge_l, sl, ul in zip(geometry.g_edges, g_segs, g_units):
             if zero(cross_norm(uk, ul)):
                 d, _, _ = closest_segment_segment(sk[0], sk[1], sl[0], sl[1])
-                out.append(CriticalValue(d, "T2d", ("K-edge", ek, "L-edge", el)))
+                out.append(CriticalValue(d, "T2d", ("K-edge", edge_k, "L-edge", edge_l)))
         for lt, nl in enumerate(g_normals):
             if nl is not None and zero(abs(vdot(uk, nl))):
                 out.append(CriticalValue(
-                    geometry.f_edge_dist[ek][lt], "T2d",
-                    ("K-edge", ek, "L-tri", lt)))
-    for (el, _), ul in zip(g_edges, g_units):
+                    geometry.f_edge_dist[ek, lt].item(), "T2d",
+                    ("K-edge", edge_k, "L-tri", lt)))
+    for el, (edge_l, ul) in enumerate(zip(geometry.g_edges, g_units)):
         for kt, nk in enumerate(f_normals):
             if nk is not None and zero(abs(vdot(ul, nk))):
                 out.append(CriticalValue(
-                    geometry.g_edge_dist[el][kt], "T2d",
-                    ("L-edge", el, "K-tri", kt)))
+                    geometry.g_edge_dist[el, kt].item(), "T2d",
+                    ("L-edge", edge_l, "K-tri", kt)))
     for kt, nk in enumerate(f_normals):
         for lt, nl in enumerate(g_normals):
             if nk is not None and nl is not None and zero(cross_norm(nk, nl)):
                 out.append(CriticalValue(
-                    geometry.cell_dist[kt][lt], "T2d",
+                    geometry.cell_dist[kt, lt].item(), "T2d",
                     ("K-tri", kt, "L-tri", lt)))
     return out
 
@@ -182,13 +183,13 @@ def table_critical_values(f, g, tol=DEFAULT_TOL, geometry=None):
     geometry = PairGeometry.of(f, g, tol, geometry)
     vals = parallel_pair_values(f, g, tol, geometry=geometry)
     for (kind, tagR, tagT, keys, table) in (
-            ("T1", "K-edge", "L-tri", f.param.edges(), geometry.f_edge_dist),
-            ("T1", "L-edge", "K-tri", g.param.edges(), geometry.g_edge_dist),
+            ("T1", "K-edge", "L-tri", geometry.f_edges, geometry.f_edge_dist),
+            ("T1", "L-edge", "K-tri", geometry.g_edges, geometry.g_edge_dist),
             ("T2a", "K-vertex", "L-tri", range(len(f.image)), geometry.f_vertex_dist),
             ("T2a", "L-vertex", "K-tri", range(len(g.image)), geometry.g_vertex_dist)):
-        for key in keys:
+        for key, row in zip(keys, table.tolist()):
             vals.extend(CriticalValue(d, kind, (tagR, key, tagT, ti))
-                        for ti, d in enumerate(table[key]))
+                        for ti, d in enumerate(row))
     return dedup_critical_values(vals, tol)
 
 
@@ -206,15 +207,12 @@ def t2b_critical_values(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0, hi=math.in
     geometry = PairGeometry.of(f, g, tol, geometry)
     vals = []
     pad = 1e-4 * max(1.0, hi)
-    for (tagE, tagT, se, tris, edge_dist, vertex_dist) in (
-            ("K-edge", "L-tris", f, geometry.g_tris, geometry.f_edge_dist,
-             geometry.f_vertex_dist),
-            ("L-edge", "K-tris", g, geometry.f_tris, geometry.g_edge_dist,
-             geometry.g_vertex_dist)):
-        edges = se.param.edges()
-        lbs = np.array([edge_dist[e] for e in edges])
-        ends = np.array(vertex_dist)[np.array(edges)]
-        ubs = np.maximum(ends[:, 0], ends[:, 1]) + pad
+    for (tagE, tagT, se, edges, tris, lbs, vertex_dist) in (
+            ("K-edge", "L-tris", f, geometry.f_edges, geometry.g_tris,
+             geometry.f_edge_dist, geometry.f_vertex_dist),
+            ("L-edge", "K-tris", g, geometry.g_edges, geometry.f_tris,
+             geometry.g_edge_dist, geometry.g_vertex_dist)):
+        ubs = vertex_dist[np.array(edges)].max(axis=1) + pad
         for e, lb, ub, live in zip(edges, lbs, ubs, (lbs <= hi + pad) & (ubs >= lo)):
             idx = np.flatnonzero(live)
             lb, ub = lb[idx], ub[idx]
@@ -327,7 +325,7 @@ def _certified_root_free(polys, xlo, xhi):
     return above | below
 
 
-def _batched_poly_roots(coeffs, xlo, xhi):
+def _batched_poly_roots(coeffs, xlo, xhi, tol=DEFAULT_TOL):
     """Real roots of many low-degree polynomials (rows, lowest degree first),
     restricted to per-row intervals [xlo, xhi].
 
@@ -375,8 +373,9 @@ def _batched_poly_roots(coeffs, xlo, xhi):
         b = norm[rows, 1]
         c = norm[rows, 0]
         disc = b * b - 4 * a * c
-        has = disc >= 0
-        sq = np.sqrt(np.where(has, disc, 0.0))
+        # as in quadratic_roots, a discriminant just below 0 is a double root
+        has = disc > -4.0 * tol.rel
+        sq = np.sqrt(np.maximum(disc, 0.0))
         for sgn in (-1.0, 1.0):
             emit(rows[has], ((-b + sgn * sq) / (2 * a))[has])
     rows = np.where(degs == 1)[0]
@@ -412,29 +411,25 @@ def _feature_ranges(geometry, q_on_f, q, i):
     largest at a vertex of q: ub is the largest of the three vertex
     distances.  At a 2c point of q the common value is the distance to each
     triangle's nearest feature, so it lies in that feature's range."""
-    if q_on_f:
-        sq, so = geometry.f, geometry.g
-        q_vertex_dist, o_vertex_dist = geometry.f_vertex_dist, geometry.g_vertex_dist
-        o_edge_dist = geometry.g_edge_dist
-        face_lb = geometry.cell_dist[q][i]
-    else:
-        sq, so = geometry.g, geometry.f
-        q_vertex_dist, o_vertex_dist = geometry.g_vertex_dist, geometry.f_vertex_dist
-        o_edge_dist = geometry.f_edge_dist
-        face_lb = geometry.cell_dist[i][q]
+    sq, so, q_vertex_dist, o_vertex_dist, o_edges, o_edge_dist, cells = (
+        (geometry.f, geometry.g, geometry.f_vertex_dist, geometry.g_vertex_dist,
+         geometry.g_edges, geometry.g_edge_dist, geometry.cell_dist) if q_on_f else
+        (geometry.g, geometry.f, geometry.g_vertex_dist, geometry.f_vertex_dist,
+         geometry.f_edges, geometry.f_edge_dist, geometry.cell_dist.T))
     q_verts = sq.param.triangles[q]
     o_verts = so.param.triangles[i]
     q_pts = [sq.image[v] for v in q_verts]
     o_pts = [so.image[v] for v in o_verts]
-    ranges = [(o_vertex_dist[v][q], max(vdist(p, o_pts[a]) for p in q_pts))
+    ranges = [(o_vertex_dist[v, q], max(vdist(p, o_pts[a]) for p in q_pts))
               for a, v in enumerate(o_verts)]
     for a in range(3):
         b = (a + 1) % 3
         va, vb = o_verts[a], o_verts[b]
         ub = max(vdist(p, closest_point_segment(p, o_pts[a], o_pts[b])[0])
                  for p in q_pts)
-        ranges.append((o_edge_dist[(va, vb) if va < vb else (vb, va)][q], ub))
-    ranges.append((face_lb, max(q_vertex_dist[v][i] for v in q_verts)))
+        e = bisect_left(o_edges, (min(va, vb), max(va, vb)))
+        ranges.append((o_edge_dist[e, q], ub))
+    ranges.append((cells[q, i], max(q_vertex_dist[v, i] for v in q_verts)))
     return ranges
 
 
@@ -539,7 +534,7 @@ def triple_equidistance_values(frame, tri2d, others, ranges, lo, hi,
         both_linear = (np.abs(C1[:, 2]) <= 1e-12) & (np.abs(C2[:, 2]) <= 1e-12)
         polys = np.where(both_linear[:, None],
                          np.hstack([cubic, np.zeros((len(cubic), 1))]), res)
-        root_rows, root_xs = _batched_poly_roots(polys, xlo, xhi)
+        root_rows, root_xs = _batched_poly_roots(polys, xlo, xhi, tol)
         order = np.argsort(tid[root_rows], kind="stable")
         last = None
         for row, x in zip(root_rows[order], root_xs[order]):
@@ -613,20 +608,19 @@ def critical_values_2c(f, g, lo, hi, tol=DEFAULT_TOL, geometry=None):
     if lo > hi:
         return []
     geometry = PairGeometry.of(f, g, tol, geometry)
-    rows = geometry.cell_dist
+    cells = geometry.cell_dist
     # the triangle distance is symmetric (the minimum of the same six
     # segment-triangle distances in either order), so g's side reads the
     # transposed table
     vals = []
-    for (tagT, tagO, sq, so, dist) in (("K-tri", "L-tris", f, g, rows),
-                                       ("L-tri", "K-tris", g, f, list(zip(*rows)))):
-        o_tris = [(i, so.image_triangle(i)) for i in range(so.n_triangles)]
+    for (tagT, tagO, sq, so, dist) in (("K-tri", "L-tris", f, g, cells),
+                                       ("L-tri", "K-tris", g, f, cells.T)):
         for q in range(sq.n_triangles):
             tri_img = sq.image_triangle(q)
             frame = frame_of_triangle(tri_img, tol)
             tri2d = [frame.to_plane(p) for p in tri_img]
-            near = [(i, tri) for (i, tri) in o_tris
-                    if dist[q][i] <= hi + tol.gap(hi)]
+            near = [(i, so.image_triangle(i))
+                    for i in np.flatnonzero(dist[q] <= hi + tol.gap(hi)).tolist()]
             if len(near) < 3:
                 continue
             ranges = [_feature_ranges(geometry, tagT == "K-tri", q, i)

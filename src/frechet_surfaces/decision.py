@@ -132,12 +132,14 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
 
     if probe(0.0):
         return WeakFrechetResult(0.0, 0.0, witnesses[0.0], mode, probes)
+    eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
+    if not math.isfinite(eps_max):
+        raise ArithmeticError("image diameter bound overflows")
 
     # lo = -inf keeps tolerance-zero candidates: probe(0.0) is false, yet a
     # distance below 10 gaps may still merge into one of them
     table = table_critical_values(f, g, tol, geometry)
     vals = _merged_values(table, -math.inf, math.inf, tol)
-    eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
     if not vals or vals[-1] < eps_max:
         vals.append(eps_max)
     if not probe_candidate(vals[-1]):

@@ -13,7 +13,9 @@ those distances thresholded at eps, plus union-find.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .scalar import DEFAULT_TOL, within
+import numpy as np
+
+from .scalar import DEFAULT_TOL, within_mask
 from .batched import (point_triangle_table, segment_triangle_table,
                       triangle_triangle_table)
 
@@ -69,43 +71,44 @@ class FreeSpaceGraph:
         return "\n".join(lines) + "\n"
 
 
-def _interior_edges(param):
-    """(edge, t1, t2) for every parameter edge shared by two triangles."""
-    out = []
-    for edge, tris in sorted(param.edge_map().items()):
-        if len(tris) == 2:
-            t1, t2 = sorted(tris)
-            out.append((edge, t1, t2))
-    return out
+def _interior_edges(param, edges):
+    """(edge id, t1, t2), t1 < t2, for every parameter edge shared by two
+    triangles, as an (I, 3) int array; an id indexes `edges`, the sorted
+    edges of param."""
+    tris = param.edge_map()
+    return np.array([(e, *sorted(tris[edge])) for e, edge in enumerate(edges)
+                     if len(tris[edge]) == 2], dtype=int).reshape(-1, 3)
 
 
 class PairGeometry:
     """The eps-independent distances of a surface pair, computed at most once.
 
-    Five tables, each filled whole by one batched computation the first time
-    it is read:
+    Five float64 tables, each filled whole by one batched computation the
+    first time it is read:
 
-        cell_dist[k][l]      image triangle k of f to image triangle l of g
-        f_edge_dist[e][l]    f's image edge e (a vertex-index pair) to g's
-                             image triangle l (boundary cells, T1)
-        g_edge_dist[e][k]    g's image edge e to f's image triangle k
-        f_vertex_dist[v][l]  f's image vertex v to g's image triangle l (T2a)
-        g_vertex_dist[v][k]  g's image vertex v to f's image triangle k
+        cell_dist[k, l]      image triangle k of f to image triangle l of g
+        f_edge_dist[e, l]    f's image edge f_edges[e] to g's image triangle l (T1)
+        g_edge_dist[e, k]    g's image edge g_edges[e] to f's image triangle k
+        f_vertex_dist[v, l]  f's image vertex v to g's image triangle l (T2a)
+        g_vertex_dist[v, k]  g's image vertex v to f's image triangle k
 
-    Each entry equals the scalar geometry routine's value bit for bit.  A
-    graph without two adjacent nonempty cells reads no edge table, and C1
-    without parallel triangles no cell table.  The interior parameter edges
-    of both surfaces are kept too, as (edge, t1, t2) with t1 < t2.  One
-    geometry serves every eps of one computation and lives no longer than
-    it.
+    An edge id indexes f_edges (g_edges), the sorted parameter edges (vertex
+    index pairs) of f (g).  Each entry equals the scalar geometry routine's
+    value bit for bit.  A graph without two adjacent nonempty cells reads no
+    edge table, and C1 without parallel triangles no cell table.  The
+    interior parameter edges of both surfaces are kept too, as (I, 3) int
+    arrays of rows (edge id, t1, t2) with t1 < t2.  One geometry serves every
+    eps of one computation and lives no longer than it.
     """
 
     def __init__(self, f, g, tol=DEFAULT_TOL):
         self.f, self.g, self.tol = f, g, tol
         self.f_tris = f.image_triangles()
         self.g_tris = g.image_triangles()
-        self.f_interior = _interior_edges(f.param)
-        self.g_interior = _interior_edges(g.param)
+        self.f_edges = f.param.edges()
+        self.g_edges = g.param.edges()
+        self.f_interior = _interior_edges(f.param, self.f_edges)
+        self.g_interior = _interior_edges(g.param, self.g_edges)
 
     @classmethod
     def of(cls, f, g, tol, geometry=None):
@@ -123,11 +126,13 @@ class PairGeometry:
 
     @cached_property
     def f_edge_dist(self):
-        return _edge_table(self.f, self.g_tris, self.tol)
+        return segment_triangle_table(
+            [self.f.image_segment(e) for e in self.f_edges], self.g_tris, self.tol)
 
     @cached_property
     def g_edge_dist(self):
-        return _edge_table(self.g, self.f_tris, self.tol)
+        return segment_triangle_table(
+            [self.g.image_segment(e) for e in self.g_edges], self.f_tris, self.tol)
 
     @cached_property
     def f_vertex_dist(self):
@@ -138,42 +143,31 @@ class PairGeometry:
         return point_triangle_table(self.g.image, self.f_tris, self.tol)
 
 
-def _edge_table(s, tris, tol):
-    """{edge of s: its image edge's distance to each of tris}."""
-    edges = s.param.edges()
-    rows = segment_triangle_table([s.image_segment(e) for e in edges], tris, tol)
-    return dict(zip(edges, rows))
-
-
 def build_graph(f, g, eps, tol=DEFAULT_TOL, geometry=None):
     """Free-space graph at eps: nonempty cells, adjacency through nonempty
     boundary cells, and union-find component labels.  `geometry` is the
     pair's PairGeometry, shared across calls at different eps; a fresh one
     is built when it is omitted."""
     geometry = PairGeometry.of(f, g, tol, geometry)
-    m = f.n_triangles
-    n = g.n_triangles
-
-    cells = {(k, l) for k, row in enumerate(geometry.cell_dist)
-             for l, d in enumerate(row) if within(d, eps, tol)}
-    vertices = sorted(cells)
+    free = within_mask(geometry.cell_dist, eps, tol)
+    vertices = [tuple(cell) for cell in np.argwhere(free).tolist()]
     uf = UnionFind(vertices)
     edges = []
-
-    for edge, k1, k2 in geometry.f_interior:
-        for l in range(n):
-            if ((k1, l) in cells and (k2, l) in cells
-                    and within(geometry.f_edge_dist[edge][l], eps, tol)):
-                edges.append(((k1, l), (k2, l)))
-                uf.union((k1, l), (k2, l))
-
-    for edge, l1, l2 in geometry.g_interior:
-        for k in range(m):
-            if ((k, l1) in cells and (k, l2) in cells
-                    and within(geometry.g_edge_dist[edge][k], eps, tol)):
-                edges.append(((k, l1), (k, l2)))
-                uf.union((k, l1), (k, l2))
-
+    # an interior edge (e, t1, t2) of one surface joins its cells (t1, o) and
+    # (t2, o), (k, l) after `flip`, for each triangle o of the other when both
+    # are nonempty in `side` and the boundary cell (e, o) is within eps; no
+    # edge table is read without two such cells
+    for interior, side, edge_dist, flip in (
+            (geometry.f_interior, free, lambda: geometry.f_edge_dist, 1),
+            (geometry.g_interior, free.T, lambda: geometry.g_edge_dist, -1)):
+        e, t1, t2 = interior.T
+        i, o = np.nonzero(side[t1] & side[t2])
+        if len(i):
+            keep = within_mask(edge_dist()[e[i], o], eps, tol)
+            for a, b, c in zip(t1[i[keep]].tolist(), t2[i[keep]].tolist(),
+                               o[keep].tolist()):
+                edges.append(((a, c)[::flip], (b, c)[::flip]))
+                uf.union(*edges[-1])
     component_of = {v: uf.find(v) for v in vertices}
     return FreeSpaceGraph(eps=eps, vertices=vertices, edges=sorted(edges),
                           component_of=component_of)

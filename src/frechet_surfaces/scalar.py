@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 
 class Ordering(IntEnum):
     LESS = -1
@@ -24,7 +26,8 @@ class DegeneratePolynomialError(ValueError):
 class Tolerance:
     """Relative/absolute comparison tolerance.
 
-    Two values compare equal when |a - b| <= max(abs, rel * max(|a|, |b|)).
+    Two finite values compare equal when |a - b| <= max(abs, rel * max(|a|,
+    |b|)); an infinite value equals only itself.
     """
 
     rel: float = 1e-9
@@ -37,6 +40,8 @@ class Tolerance:
             raise ValueError("abs tolerance must be nonnegative")
 
     def eq(self, a, b):
+        if math.isinf(a) or math.isinf(b):
+            return a == b
         return abs(a - b) <= max(self.abs, self.rel * max(abs(a), abs(b)))
 
     def zero(self, a, scale=1.0):
@@ -62,6 +67,17 @@ def cmp(a, b, tol=DEFAULT_TOL):
 def within(dist, eps, tol=DEFAULT_TOL):
     """Closed predicate: dist <= eps, with tolerance-equal counted inside."""
     return cmp(dist, eps, tol) != Ordering.GREATER
+
+
+def within_mask(dist, eps, tol=DEFAULT_TOL):
+    """within(d, eps, tol) for every d of the float array `dist`, as a boolean
+    array: the same floats and tie rule, and NaN rejected as cmp rejects it."""
+    if math.isnan(eps) or np.isnan(dist).any():
+        raise ValueError("cmp: NaN input")
+    with np.errstate(over="ignore", invalid="ignore"):    # inf - inf
+        close = np.abs(dist - eps) <= np.maximum(
+            tol.abs, tol.rel * np.maximum(np.abs(dist), abs(eps)))
+    return (dist <= eps) | (close & np.isfinite(dist) & math.isfinite(eps))
 
 
 def bisect_threshold(pred, lo, hi, tol=DEFAULT_TOL):

@@ -494,8 +494,8 @@ def batched_poly_roots_eig(coeffs, xlo, xhi):
         b = norm[rows, 1]
         c = norm[rows, 0]
         disc = b * b - 4 * a * c
-        has = disc >= 0
-        sq = np.sqrt(np.where(has, disc, 0.0))
+        has = disc > -4.0 * DEFAULT_TOL.rel
+        sq = np.sqrt(np.maximum(disc, 0.0))
         for sgn in (-1.0, 1.0):
             emit(rows[has], ((-b + sgn * sq) / (2 * a))[has])
     rows = np.where(degs == 1)[0]
@@ -644,15 +644,12 @@ def unsplit_critical_values_C1(f, g, tol=DEFAULT_TOL, geometry=None, lo=0.0,
     geometry = PairGeometry.of(f, g, tol, geometry)
     vals = table_critical_values(f, g, tol, geometry)
     pad = 1e-4 * max(1.0, hi)
-    for (tagE, tagT, se, tris, edge_dist, vertex_dist) in (
-            ("K-edge", "L-tris", f, geometry.g_tris, geometry.f_edge_dist,
-             geometry.f_vertex_dist),
-            ("L-edge", "K-tris", g, geometry.f_tris, geometry.g_edge_dist,
-             geometry.g_vertex_dist)):
-        edges = se.param.edges()
-        lbs = np.array([edge_dist[e] for e in edges])
-        ends = np.array(vertex_dist)[np.array(edges)]
-        ubs = np.maximum(ends[:, 0], ends[:, 1]) + pad
+    for (tagE, tagT, se, edges, tris, lbs, vertex_dist) in (
+            ("K-edge", "L-tris", f, geometry.f_edges, geometry.g_tris,
+             geometry.f_edge_dist, geometry.f_vertex_dist),
+            ("L-edge", "K-tris", g, geometry.g_edges, geometry.f_tris,
+             geometry.g_edge_dist, geometry.g_vertex_dist)):
+        ubs = vertex_dist[np.array(edges)].max(axis=1) + pad
         for e, lb, ub, live in zip(edges, lbs, ubs, (lbs <= hi + pad) & (ubs >= lo)):
             idx = np.flatnonzero(live)
             lb, ub = lb[idx], ub[idx]

@@ -13,8 +13,8 @@ from frechet_surfaces.criticals import (_batched_poly_roots,
                                         segment_features,
                                         triple_equidistance_values)
 from frechet_surfaces.geometry import (FEATURES, closest_point_segment,
-                                       dist_point_triangle, frame_of_triangle,
-                                       triangle_shape, vdist)
+                                       conic_y_resultant, dist_point_triangle,
+                                       frame_of_triangle, triangle_shape, vdist)
 from frechet_surfaces.surface import ParamTriangulation, Surface
 from frechet_surfaces import validate
 from .conftest import (bumped_grid_surface, flat_surface, random_surface_pair,
@@ -465,6 +465,26 @@ def test_certificate_skips_most_root_free_rows(rng):
     assert certified.mean() > 0.5
 
 
+def test_batched_poly_roots_keep_the_double_root_of_coaxial_circles(rng):
+    # two intersecting circles centred on one horizontal line: their
+    # y-resultant is a perfect square, whose double root at the common x has
+    # a discriminant that rounds to either sign
+    n = 2000
+    cy, x1 = rng.uniform(-1.0, 1.0, size=(2, n))
+    d = rng.uniform(0.1, 1.0, n)
+    x2 = x1 + d
+    r1 = rng.uniform(0.2, 1.0, n)
+    r2 = rng.uniform(np.abs(d - r1), d + r1)
+    one, zero = np.ones(n), np.zeros(n)
+    circles = [np.stack([one, zero, one, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - r * r])
+               for cx, r in ((x1, r1), (x2, r2))]
+    polys = np.stack(conic_y_resultant(*circles)[0], axis=1)
+    x = (r1 * r1 - r2 * r2 + x2 * x2 - x1 * x1) / (2.0 * (x2 - x1))
+    rows, xs = _batched_poly_roots(polys, x - 0.5, x + 0.5)
+    assert set(rows.tolist()) == set(range(n))
+    assert np.abs(xs - x[rows]).max() < 1e-7
+
+
 def test_batched_poly_roots_of_a_row_do_not_depend_on_the_batch(rng):
     coeffs, xlo, xhi = _poly_rows(rng, 300, _roots_at_interval)
     rows, xs = _batched_poly_roots(coeffs, xlo, xhi)
@@ -511,9 +531,11 @@ def test_feature_ranges_bound_sampled_distances(rng):
 def _edge_range(geo, on_f, e, i):
     """[edge distance, larger endpoint distance] of image edge e of one
     surface to image triangle i of the other, read from the pair geometry."""
-    edge_dist, vertex_dist = ((geo.f_edge_dist, geo.f_vertex_dist) if on_f
-                              else (geo.g_edge_dist, geo.g_vertex_dist))
-    return edge_dist[e][i], max(vertex_dist[e[0]][i], vertex_dist[e[1]][i])
+    edges, edge_dist, vertex_dist = (
+        (geo.f_edges, geo.f_edge_dist, geo.f_vertex_dist) if on_f
+        else (geo.g_edges, geo.g_edge_dist, geo.g_vertex_dist))
+    return (edge_dist[edges.index(e), i],
+            max(vertex_dist[e[0], i], vertex_dist[e[1], i]))
 
 
 def test_t2b_values_lie_in_both_edge_ranges(rng):

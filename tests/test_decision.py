@@ -237,6 +237,18 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_overflowing_distances_are_not_within_eps():
+    # every image distance of this pair overflows to inf, and so does the
+    # diameter bound that compute's search ends at
+    f = flat_surface()
+    g = translate_surface(f, (0.0, 0.0, 1e200))
+    assert np.isinf(freespace.PairGeometry(f, g).cell_dist).all()
+    assert decide(f, g, 1.0) == (False, None)
+    for mode in (MODE_BISECT, MODE_EXACT):
+        with pytest.raises(ArithmeticError):
+            compute(f, g, mode=mode)
+
+
 def test_compute_computes_each_cell_distance_once(rng, monkeypatch):
     # the cell table is filled by one batched call over all triangle pairs
     calls = _count_calls(monkeypatch, freespace, "triangle_triangle_table")

@@ -239,6 +239,16 @@ def test_bad_semi_budget_exit_2(tmp_path, capsys, options):
     assert len(out.strip().splitlines()) == 1  # the header, no stream
 
 
+def test_overflowing_distances_exit_3(tmp_path, capsys):
+    f = flat_surface()
+    pa = write_surface(tmp_path / "a.json", f)
+    pb = write_surface(tmp_path / "b.json", translate_surface(f, (0.0, 0.0, 1e200)))
+    for mode in ("exact", "bisect"):
+        code, out, err = run_cli(["compute", pa, pb, "--mode", mode], capsys)
+        assert code == 3, (mode, out)
+        assert "numeric failure" in err
+
+
 def test_decide_true_false(tmp_path, capsys):
     f = flat_surface()
     g = translate_surface(f, (0.0, 0.0, 0.5))

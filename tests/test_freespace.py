@@ -106,13 +106,14 @@ def test_pair_geometry_matches_direct_distances(rng):
             for l in range(g.n_triangles):
                 assert geo.cell_dist[k][l] == dist_triangle_triangle(
                     f.image_triangle(k), g.image_triangle(l))
-        for e in f.param.edges():
+        assert geo.f_edges == f.param.edges() and geo.g_edges == g.param.edges()
+        for i, e in enumerate(f.param.edges()):
             for l in range(g.n_triangles):
-                assert geo.f_edge_dist[e][l] == dist_segment_triangle(
+                assert geo.f_edge_dist[i][l] == dist_segment_triangle(
                     f.image_segment(e), g.image_triangle(l))
-        for e in g.param.edges():
+        for i, e in enumerate(g.param.edges()):
             for k in range(f.n_triangles):
-                assert geo.g_edge_dist[e][k] == dist_segment_triangle(
+                assert geo.g_edge_dist[i][k] == dist_segment_triangle(
                     g.image_segment(e), f.image_triangle(k))
         for v, p in enumerate(f.image):
             for l in range(g.n_triangles):

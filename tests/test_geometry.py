@@ -289,11 +289,11 @@ def test_tables_equal_scalar_and_check_every_triangle(rng):
     tris = _triangles(rng, 3)
     pts = _grid(3, range(-1, 3))
     segs = list(zip(pts, pts[5:] + pts[:5]))
-    assert point_triangle_table(pts, tris) == \
+    assert point_triangle_table(pts, tris).tolist() == \
         [[dist_point_triangle(p, t) for t in tris] for p in pts]
-    assert segment_triangle_table(segs, tris) == \
+    assert segment_triangle_table(segs, tris).tolist() == \
         [[dist_segment_triangle(s, t) for t in tris] for s in segs]
-    assert triangle_triangle_table(tris, tris[::-1]) == \
+    assert triangle_triangle_table(tris, tris[::-1]).tolist() == \
         [[dist_triangle_triangle(u, v) for v in tris[::-1]] for u in tris]
     degen = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
     with pytest.raises(GeometryError):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from frechet_surfaces.scalar import (DEFAULT_TOL, DegeneratePolynomialError,
                                      Ordering, Tolerance, cmp, poly_eval,
-                                     quadratic_roots, real_roots)
+                                     quadratic_roots, real_roots, within,
+                                     within_mask)
 from .oracles import bisection_roots
 
 
@@ -18,6 +20,47 @@ def test_cmp_examples():
 def test_cmp_nan_rejected():
     with pytest.raises(ValueError):
         cmp(float("nan"), 0.0)
+
+
+def test_infinite_values_equal_only_themselves():
+    for x in (0.0, 1.0, -1e300, 1e300):
+        assert not DEFAULT_TOL.eq(math.inf, x)
+        assert not DEFAULT_TOL.eq(x, -math.inf)
+        assert not within(math.inf, x)
+        assert within(x, math.inf)
+        assert within_mask(np.array([math.inf, x]), x).tolist() == [False, True]
+    assert DEFAULT_TOL.eq(math.inf, math.inf)
+    assert DEFAULT_TOL.eq(-math.inf, -math.inf)
+    assert not DEFAULT_TOL.eq(math.inf, -math.inf)
+
+
+def _around(x, n):
+    """x and the n floats on either side of it."""
+    out, up, down = [x], x, x
+    for _ in range(n):
+        up = math.nextafter(up, math.inf)
+        down = math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+def test_within_mask_is_within_elementwise(rng):
+    for tol in (DEFAULT_TOL, Tolerance(rel=1e-6, abs=0.0)):
+        for eps in (0.0, 1e-12, 0.5, 1.0, 1e5, -0.5, math.inf):
+            edges = (eps, eps + tol.abs, eps - tol.abs,
+                     eps * (1.0 + tol.rel), eps * (1.0 - tol.rel))
+            dist = [d for x in edges for d in _around(x, 40)]
+            dist += [0.0, -0.0, math.inf, -math.inf]
+            scale = max(1.0, abs(eps)) if math.isfinite(eps) else 1e300
+            dist += (rng.uniform(-2.0, 2.0, 200) * scale).tolist()
+            mask = within_mask(np.array([dist]), eps, tol)
+            assert mask[0].tolist() == [within(d, eps, tol) for d in dist]
+    nan = float("nan")
+    for test in (lambda: within(nan, 1.0), lambda: within(0.0, nan),
+                 lambda: within_mask(np.array([0.0, nan]), 1.0),
+                 lambda: within_mask(np.array([0.0]), nan)):
+        with pytest.raises(ValueError):
+            test()
 
 
 def test_tolerance_invariants():

@@ -1,21 +1,20 @@
 """Batched minimum distances, equal to scalar routines bit for bit, and the
-distance tables of a surface pair built from them.
+three primitive tables of a surface pair built from them (point/triangle,
+segment/segment, crossings), whose minima are freespace.PairGeometry's.
 
 Each batch_* kernel is an elementwise transcription of the scalar routine of
 the same name (Ericson, Real-Time Collision Detection, ch. 5): those of
-geometry.py, and for segment/triangle and triangle/triangle distances the
-scalar references kept with the tests (tests/oracles.py).  A point is a
-tuple of coordinate arrays that broadcast together, so vsub, vadd, vscale,
-vdot, vlerp and vcross3 apply to it unchanged and keep the scalar order of
-operations; a norm is np.sqrt of vdot (math.sqrt is correctly rounded too);
-min(1.0, max(0.0, t)) is _clamp01.  Every branch of a scalar routine becomes
-a mask, and a value is chosen from the routine's returns last to first, so
-that the earliest return whose condition holds wins, as in the scalar code.
-A lane a branch does not take may divide by zero; that value is discarded,
-and _discarded silences the warning.
+geometry.py, and for the crossing test the scalar reference kept with the
+tests (tests/oracles.py).  A point is a tuple of coordinate arrays that
+broadcast together, so vsub, vadd, vscale, vdot, vlerp and vcross3 apply to
+it unchanged and keep the scalar order of operations; a norm is np.sqrt of
+vdot (math.sqrt is correctly rounded too); min(1.0, max(0.0, t)) is
+_clamp01.  Every branch of a scalar routine becomes a mask, and a value is
+chosen from the routine's returns last to first, so that the earliest
+return whose condition holds wins, as in the scalar code.  A lane a branch
+does not take may divide by zero; that value is discarded, and _discarded
+silences the warning.
 """
-
-import math
 
 import numpy as np
 
@@ -164,32 +163,9 @@ def batch_segment_crosses_triangle(a, b, tri):
             & (s >= 0.0) & (r >= 0.0) & (s + r <= 1.0))
 
 
-def batch_dist_segment_triangle(seg, tri):
-    """dist_segment_triangle elementwise, without the triangle check."""
-    a, b = seg
-    da = batch_dist_point_triangle(a, tri)
-    db = batch_dist_point_triangle(b, tri)
-    best = np.where(db < da, db, da)
-    for i in range(3):
-        d = batch_closest_segment_segment(a, b, tri[i], tri[(i + 1) % 3])
-        best = np.where(d < best, d, best)
-    return np.where(batch_segment_crosses_triangle(a, b, tri), 0.0, best)
-
-
-def batch_dist_triangle_triangle(t1, t2):
-    """dist_triangle_triangle elementwise, without the triangle checks."""
-    best = math.inf
-    for i in range(3):
-        d = batch_dist_segment_triangle((t1[i], t1[(i + 1) % 3]), t2)
-        best = np.where(d < best, d, best)
-        d = batch_dist_segment_triangle((t2[i], t2[(i + 1) % 3]), t1)
-        best = np.where(d < best, d, best)
-    return best
-
-
 # Pairs per kernel call of a table: the kernels hold a few dozen temporaries
 # of this many floats at once, so larger tables go in blocks of rows.
-_TABLE_LANES = 1024
+_TABLE_LANES = 4096
 
 
 def _split(a):
@@ -200,16 +176,13 @@ def _split(a):
     return tuple(_split(a[..., i, :]) for i in range(a.shape[-2]))
 
 
-def _table(kernel, rows, tris, tol):
-    """kernel(row, triangle) for every row and image triangle, as a float64
-    array of shape (rows, triangles); every triangle is checked first, as the
-    scalar routines check it."""
-    for tri in tris:
-        check_triangle(tri, tol)
-    cols = _split(np.asarray(tris, dtype=float)[None])
+def _table(kernel, rows, cols, out):
+    """out with row i set to kernel(rows[i], cols) for every row, each row
+    or column a point or a tuple of points, a block of rows at a time."""
     rows = np.asarray(rows, dtype=float)
-    step = max(1, _TABLE_LANES // len(tris))
-    out = np.empty((len(rows), len(tris)))
+    cols = np.asarray(cols, dtype=float)
+    step = max(1, _TABLE_LANES // len(cols))
+    cols = _split(cols[None])
     for start in range(0, len(rows), step):
         out[start:start + step] = kernel(_split(rows[start:start + step, None]), cols)
     return out
@@ -217,19 +190,28 @@ def _table(kernel, rows, tris, tol):
 
 def point_triangle_table(points, tris, tol=DEFAULT_TOL):
     """dist_point_triangle(p, tri, tol) for every point p (rows) and triangle
-    tri (columns), by one batched computation."""
-    return _table(batch_dist_point_triangle, points, tris, tol)
-
-
-def segment_triangle_table(segs, tris, tol=DEFAULT_TOL):
-    """dist_segment_triangle(seg, tri, tol) for every segment seg (rows) and
-    triangle tri (columns), by one batched computation."""
-    return _table(batch_dist_segment_triangle, segs, tris, tol)
-
-
-def triangle_triangle_table(tris1, tris2, tol=DEFAULT_TOL):
-    """dist_triangle_triangle(t1, t2, tol) for every triangle t1 of tris1
-    (rows) and t2 of tris2 (columns), by one batched computation."""
-    for tri in tris1:
+    tri (columns); every triangle is checked first, as the scalar routine does."""
+    for tri in tris:
         check_triangle(tri, tol)
-    return _table(batch_dist_triangle_triangle, tris1, tris2, tol)
+    return _table(batch_dist_point_triangle, points, tris,
+                  np.empty((len(points), len(tris))))
+
+
+def segment_segment_table(segs, others, groups):
+    """The least distance of every segment of segs (rows) to the segments
+    others[i], i in a row of the int array groups (columns), two segments'
+    distance being closest_segment_segment in both argument orders, the
+    smaller.  Each block of rows is reduced over the groups as it is
+    computed, so the distances of all segment pairs are never held at once."""
+    def kernel(s, t):
+        dist = np.minimum(batch_closest_segment_segment(*s, *t),
+                          batch_closest_segment_segment(*t, *s))
+        return dist[:, groups].min(axis=2)
+    return _table(kernel, segs, others, np.empty((len(segs), len(groups))))
+
+
+def segment_crosses_table(segs, tris):
+    """segment_crosses_triangle(a, b, tri) for every segment (a, b) (rows)
+    and triangle tri (columns), as a boolean array."""
+    return _table(lambda seg, tri: batch_segment_crosses_triangle(*seg, tri),
+                  segs, tris, np.empty((len(segs), len(tris)), dtype=bool))

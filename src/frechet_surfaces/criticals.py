@@ -329,11 +329,11 @@ def _batched_poly_roots(coeffs, xlo, xhi, tol=DEFAULT_TOL):
     """Real roots of many low-degree polynomials (rows, lowest degree first),
     restricted to per-row intervals [xlo, xhi].
 
-    Returns (rows, xs) arrays.  Rows are normalized, trimmed by magnitude and
+    Returns (rows, xs) arrays.  Rows are normalized, trimmed by magnitude (an
+    x^2 coefficient within tol.rel counts as 0, as in quadratic_roots) and
     solved per effective degree: closed form up to degree 2, companion-matrix
-    eigenvalues for degrees 3 and 4, skipping the rows that
-    _certified_root_free clears.  Each row's roots do not depend on the
-    other rows of the call."""
+    eigenvalues for degrees 3 and 4, skipping the rows _certified_root_free
+    clears.  Each row's roots do not depend on the other rows of the call."""
     n, width = coeffs.shape
     rows_out = []
     xs_out = []
@@ -341,10 +341,9 @@ def _batched_poly_roots(coeffs, xlo, xhi, tol=DEFAULT_TOL):
     ok = mags > 0
     norm = coeffs.copy()
     norm[ok] = coeffs[ok] / mags[ok, None]
-    tiny = 1e-12
     degs = np.zeros(n, dtype=int)
     for d in range(width - 1, 0, -1):
-        mask = (degs == 0) & (np.abs(norm[:, d]) > tiny)
+        mask = (degs == 0) & (np.abs(norm[:, d]) > (tol.rel if d == 2 else 1e-12))
         degs[mask] = d
 
     def emit(rows, xs):

@@ -11,13 +11,12 @@ those distances thresholded at eps, plus union-find.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .scalar import DEFAULT_TOL, within_mask
-from .batched import (point_triangle_table, segment_triangle_table,
-                      triangle_triangle_table)
+from .batched import (point_triangle_table, segment_crosses_table,
+                      segment_segment_table)
 
 
 class UnionFind:
@@ -80,11 +79,36 @@ def _interior_edges(param, edges):
                      if len(tris[edge]) == 2], dtype=int).reshape(-1, 3)
 
 
-class PairGeometry:
-    """The eps-independent distances of a surface pair, computed at most once.
+def _triangle_edges(param, edges):
+    """The edge ids of every parameter triangle (i, j, k), of its edges (i, j),
+    (j, k) and (k, i) in that order, as a (T, 3) int array."""
+    ids = {edge: e for e, edge in enumerate(edges)}
+    return np.array([[ids[min(a, b), max(a, b)] for a, b in ((i, j), (j, k), (k, i))]
+                     for i, j, k in param.triangles], dtype=int).reshape(-1, 3)
 
-    Five float64 tables, each filled whole by one batched computation the
-    first time it is read:
+
+def _edge_table(vertex_dist, edges, segs, others, tri_edges, tris):
+    """The distance of every image edge segs[e] (rows) to every image triangle
+    tris[l] of the other surface (columns): 0 where they cross, else the least
+    of vertex_dist at the edge's ends and its distance to others[tri_edges[l]]."""
+    out = segment_segment_table(segs, others, tri_edges)
+    for end in np.array(edges, dtype=int).reshape(-1, 2).T:
+        _min_rows(out, vertex_dist, end)
+    out[segment_crosses_table(segs, tris)] = 0.0
+    return out
+
+
+def _min_rows(out, table, index):
+    """out[i] = min(out[i], table[index[i]]) for every row i, 64 rows at a time:
+    glibc keeps later arrays on the heap once a block as large as out is freed."""
+    for r in range(0, len(out), 64):
+        np.minimum(out[r:r + 64], table[index[r:r + 64]], out=out[r:r + 64])
+
+
+class PairGeometry:
+    """The eps-independent distances of a surface pair, computed once.
+
+    Five float64 tables:
 
         cell_dist[k, l]      image triangle k of f to image triangle l of g
         f_edge_dist[e, l]    f's image edge f_edges[e] to g's image triangle l (T1)
@@ -93,9 +117,12 @@ class PairGeometry:
         g_vertex_dist[v, k]  g's image vertex v to f's image triangle k
 
     An edge id indexes f_edges (g_edges), the sorted parameter edges (vertex
-    index pairs) of f (g).  Each entry equals the scalar geometry routine's
-    value bit for bit.  A graph without two adjacent nonempty cells reads no
-    edge table, and C1 without parallel triangles no cell table.  The
+    index pairs) of f (g), and an image edge runs from its lower vertex index
+    to its higher one.  The vertex tables equal dist_point_triangle bit for
+    bit, _edge_table builds the edge tables from them, and a cell entry is the
+    least edge entry of its triangles' six edges.  So negating a coordinate
+    of both images leaves every table bit-identical, and the geometry of
+    (g, f) holds these tables transposed and swapped.  The
     interior parameter edges of both surfaces are kept too, as (I, 3) int
     arrays of rows (edge id, t1, t2) with t1 < t2.  One geometry serves every
     eps of one computation and lives no longer than it.
@@ -109,6 +136,20 @@ class PairGeometry:
         self.g_edges = g.param.edges()
         self.f_interior = _interior_edges(f.param, self.f_edges)
         self.g_interior = _interior_edges(g.param, self.g_edges)
+        self.f_vertex_dist = point_triangle_table(f.image, self.g_tris, tol)
+        self.g_vertex_dist = point_triangle_table(g.image, self.f_tris, tol)
+        f_segs = [f.image_segment(e) for e in self.f_edges]
+        g_segs = [g.image_segment(e) for e in self.g_edges]
+        f_tri_edges = _triangle_edges(f.param, self.f_edges)
+        g_tri_edges = _triangle_edges(g.param, self.g_edges)
+        self.f_edge_dist = _edge_table(self.f_vertex_dist, self.f_edges, f_segs, g_segs,
+                                       g_tri_edges, self.g_tris)
+        self.g_edge_dist = _edge_table(self.g_vertex_dist, self.g_edges, g_segs, f_segs,
+                                       f_tri_edges, self.f_tris)
+        self.cell_dist = np.full((len(self.f_tris), len(self.g_tris)), np.inf)
+        for j in range(3):
+            _min_rows(self.cell_dist, self.f_edge_dist, f_tri_edges[:, j])
+            _min_rows(self.cell_dist.T, self.g_edge_dist, g_tri_edges[:, j])
 
     @classmethod
     def of(cls, f, g, tol, geometry=None):
@@ -119,28 +160,6 @@ class PairGeometry:
         if geometry.f is not f or geometry.g is not g or geometry.tol != tol:
             raise ValueError("geometry was built for another surface pair or tolerance")
         return geometry
-
-    @cached_property
-    def cell_dist(self):
-        return triangle_triangle_table(self.f_tris, self.g_tris, self.tol)
-
-    @cached_property
-    def f_edge_dist(self):
-        return segment_triangle_table(
-            [self.f.image_segment(e) for e in self.f_edges], self.g_tris, self.tol)
-
-    @cached_property
-    def g_edge_dist(self):
-        return segment_triangle_table(
-            [self.g.image_segment(e) for e in self.g_edges], self.f_tris, self.tol)
-
-    @cached_property
-    def f_vertex_dist(self):
-        return point_triangle_table(self.f.image, self.g_tris, self.tol)
-
-    @cached_property
-    def g_vertex_dist(self):
-        return point_triangle_table(self.g.image, self.f_tris, self.tol)
 
 
 def build_graph(f, g, eps, tol=DEFAULT_TOL, geometry=None):
@@ -155,15 +174,14 @@ def build_graph(f, g, eps, tol=DEFAULT_TOL, geometry=None):
     edges = []
     # an interior edge (e, t1, t2) of one surface joins its cells (t1, o) and
     # (t2, o), (k, l) after `flip`, for each triangle o of the other when both
-    # are nonempty in `side` and the boundary cell (e, o) is within eps; no
-    # edge table is read without two such cells
+    # are nonempty in `side` and the boundary cell (e, o) is within eps
     for interior, side, edge_dist, flip in (
-            (geometry.f_interior, free, lambda: geometry.f_edge_dist, 1),
-            (geometry.g_interior, free.T, lambda: geometry.g_edge_dist, -1)):
+            (geometry.f_interior, free, geometry.f_edge_dist, 1),
+            (geometry.g_interior, free.T, geometry.g_edge_dist, -1)):
         e, t1, t2 = interior.T
         i, o = np.nonzero(side[t1] & side[t2])
         if len(i):
-            keep = within_mask(edge_dist()[e[i], o], eps, tol)
+            keep = within_mask(edge_dist[e[i], o], eps, tol)
             for a, b, c in zip(t1[i[keep]].tolist(), t2[i[keep]].tolist(),
                                o[keep].tolist()):
                 edges.append(((a, c)[::flip], (b, c)[::flip]))

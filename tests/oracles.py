@@ -450,6 +450,39 @@ def dist_triangle_triangle(t1, t2, tol=DEFAULT_TOL, degenerate_ok=False):
     return best
 
 
+def edge_edge_dist(s, t):
+    """PairGeometry's distance of segments s and t: closest_segment_segment
+    in both argument orders, the smaller."""
+    return min(closest_segment_segment(*s, *t)[0], closest_segment_segment(*t, *s)[0])
+
+
+def composed_dist_segment_triangle(seg, tri, tri_edges, tol=DEFAULT_TOL):
+    """dist_segment_triangle as PairGeometry composes it: 0 when seg crosses
+    tri, else the least of its endpoints' distances to tri and its
+    edge_edge_dist to each of tri_edges, the triangle's three edges as the
+    oriented segments the geometry holds."""
+    if segment_crosses_triangle(*seg, tri):
+        return 0.0
+    return min(dist_point_triangle(seg[0], tri, tol),
+               dist_point_triangle(seg[1], tri, tol),
+               *(edge_edge_dist(seg, e) for e in tri_edges))
+
+
+def composed_dist_triangle_triangle(t1, edges1, t2, edges2, tol=DEFAULT_TOL):
+    """dist_triangle_triangle as PairGeometry composes it: the least
+    composed distance of an edge of one triangle to the other."""
+    return min([composed_dist_segment_triangle(e, t2, edges2, tol) for e in edges1]
+               + [composed_dist_segment_triangle(e, t1, edges1, tol) for e in edges2])
+
+
+def oriented_triangle_edges(surface, k):
+    """The image edges of parameter triangle k of surface, (i, j), (j, k),
+    (k, i), each from its lower vertex index to its higher one."""
+    i, j, k = surface.param.triangles[k]
+    return [surface.image_segment((min(a, b), max(a, b)))
+            for a, b in ((i, j), (j, k), (k, i))]
+
+
 # ---------------------------------------------------------------------------
 # Type-2c search, one triple at a time
 # ---------------------------------------------------------------------------
@@ -465,9 +498,9 @@ def batched_poly_roots_eig(coeffs, xlo, xhi):
     ok = mags > 0
     norm = coeffs.copy()
     norm[ok] = coeffs[ok] / mags[ok, None]
-    tiny = 1e-12
     degs = np.zeros(n, dtype=int)
     for d in range(width - 1, 0, -1):
+        tiny = DEFAULT_TOL.rel if d == 2 else 1e-12
         mask = (degs == 0) & (np.abs(norm[:, d]) > tiny)
         degs[mask] = d
 

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from frechet_surfaces import (CriticalValue, PairGeometry, critical_values_2c,
-                              critical_values_C1, criticals, freespace)
+                              critical_values_C1, criticals)
 from frechet_surfaces.criticals import (_batched_poly_roots,
                                         _certified_root_free, _feature_ranges,
                                         equidistance_values_on_segment,
@@ -22,7 +22,7 @@ from .conftest import (bumped_grid_surface, flat_surface, random_surface_pair,
 from .oracles import (batched_poly_roots_eig, points_triangle_dist,
                       region_breakpoints_loops, triple_equidistance_scan,
                       unsplit_critical_values_C1)
-from .test_decision import _count_calls
+from .test_decision import _count_primitive_calls, _count_calls
 
 
 def kinds_with_value(vals, target, tol=1e-9):
@@ -46,12 +46,14 @@ def test_identical_surfaces_have_zero_T1():
 
 def test_C1_without_parallel_triangles_computes_no_cell_distance(rng,
                                                                  monkeypatch):
-    calls = _count_calls(monkeypatch, freespace, "triangle_triangle_table")
+    # no T2d value comes from a cell distance; the one geometry of the call
+    # builds each primitive table by one batched call per surface
+    calls = _count_primitive_calls(monkeypatch)
     f, g = random_surface_pair(rng, tri_range=(4, 6))
     vals = critical_values_C1(f, g)
     assert not any(cv.kind == "T2d" and cv.provenance[0] == "K-tri"
                    for cv in vals)
-    assert calls == []
+    assert [len(c) for c in calls.values()] == [2, 2, 2]
 
 
 def test_sorted_and_deduped(rng):
@@ -614,3 +616,13 @@ def test_C1_equals_the_unsplit_enumeration(rng):
                        (values[n // 3], values[n // 3])):
             assert repr(critical_values_C1(f, g, lo=lo, hi=hi)) == \
                 repr(unsplit_critical_values_C1(f, g, lo=lo, hi=hi)), (lo, hi)
+
+
+def test_batched_poly_roots_treat_a_small_leading_coefficient_as_linear():
+    # 1 - 2.95e-11 x + 8.52e-11 x^2 has no real root: its discriminant is
+    # just below 0 because its x^2 coefficient is small, not because of a
+    # double root, and its linear part's root lies far outside [0, 1]
+    coeffs = np.array([[1.0, -2.95e-11, 8.52e-11]])
+    for solve in (_batched_poly_roots, batched_poly_roots_eig):
+        rows, xs = solve(coeffs, np.array([0.0]), np.array([1.0]))
+        assert len(rows) == len(xs) == 0

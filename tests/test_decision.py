@@ -249,17 +249,32 @@ def test_overflowing_distances_are_not_within_eps():
             compute(f, g, mode=mode)
 
 
+def _count_primitive_calls(monkeypatch):
+    """Calls of the three primitive table functions, by function name."""
+    return {name: _count_calls(monkeypatch, freespace, name)
+            for name in ("point_triangle_table", "segment_segment_table",
+                         "segment_crosses_table")}
+
+
 def test_compute_computes_each_cell_distance_once(rng, monkeypatch):
-    # the cell table is filled by one batched call over all triangle pairs
-    calls = _count_calls(monkeypatch, freespace, "triangle_triangle_table")
+    # one PairGeometry per compute: each primitive table is built by one
+    # batched call per surface
+    calls = _count_primitive_calls(monkeypatch)
     for _ in range(3):
         f, g = random_surface_pair(rng, tri_range=(4, 6))
-        calls.clear()
+        for c in calls.values():
+            c.clear()
         res = compute(f, g, mode=MODE_BISECT)
         assert len(res.probes) > 2
-        assert len(calls) == 1
-        f_tris, g_tris = calls[0][:2]
-        assert (len(f_tris), len(g_tris)) == (f.n_triangles, g.n_triangles)
+        assert [len(c) for c in calls.values()] == [2, 2, 2]
+        for (pts, tris), s, o in zip((c[:2] for c in calls["point_triangle_table"]),
+                                     (f, g), (g, f)):
+            assert (len(pts), len(tris)) == (len(s.image), o.n_triangles)
+        for (segs, others, groups), s, o in zip(calls["segment_segment_table"],
+                                                (f, g), (g, f)):
+            assert len(segs) == len(s.param.edges())
+            assert len(others) == len(o.param.edges())
+            assert groups.shape == (o.n_triangles, 3)
 
 
 def test_compute_probes_match_one_shot_decides(rng):
@@ -288,13 +303,17 @@ def test_compute_reuses_coverage_verdicts_within_one_call(monkeypatch):
 
 
 def test_decide_below_cell_distances_computes_no_boundary_distance(monkeypatch):
-    calls = _count_calls(monkeypatch, freespace, "segment_triangle_table")
+    # below every cell distance the graph has no cell, so no boundary cell
+    # is thresholded; each decide builds one geometry either way
+    calls = _count_primitive_calls(monkeypatch)
     f = flat_surface()
     g = translate_surface(f, (0.0, 0.0, 1.0))
     assert not decide(f, g, 0.5)[0]
-    assert calls == []
+    assert [len(c) for c in calls.values()] == [2, 2, 2]
     assert decide(f, g, 1.5)[0]
-    assert calls
+    assert [len(c) for c in calls.values()] == [4, 4, 4]
+    assert freespace.build_graph(f, g, 0.5).vertices == []
+    assert freespace.build_graph(f, g, 1.5).edges
 
 
 def _final_brackets(monkeypatch):

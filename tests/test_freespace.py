@@ -2,7 +2,9 @@ import pytest
 
 from frechet_surfaces import PairGeometry, build_graph, dist_point_triangle
 from .conftest import flat_surface, random_surface_pair, translate_surface
-from .oracles import bfs_components, dist_segment_triangle, dist_triangle_triangle
+from .oracles import (bfs_components, composed_dist_segment_triangle,
+                      composed_dist_triangle_triangle, dist_segment_triangle,
+                      dist_triangle_triangle, oriented_triangle_edges)
 
 
 def test_identical_surfaces_large_eps():
@@ -98,23 +100,34 @@ def test_adjacency_text_deterministic(rng):
     assert "vertices" in a
 
 
+def _near(x, y):
+    return abs(x - y) <= 1e-15 * max(1.0, y)
+
+
 def test_pair_geometry_matches_direct_distances(rng):
+    # each entry equals the scalar composition of the same primitives bit for
+    # bit, and the direct scalar distance within rounding
     for _ in range(3):
         f, g = random_surface_pair(rng, tri_range=(4, 7))
         geo = PairGeometry(f, g)
-        for k in range(f.n_triangles):
-            for l in range(g.n_triangles):
-                assert geo.cell_dist[k][l] == dist_triangle_triangle(
-                    f.image_triangle(k), g.image_triangle(l))
+        f_edges = [oriented_triangle_edges(f, k) for k in range(f.n_triangles)]
+        g_edges = [oriented_triangle_edges(g, l) for l in range(g.n_triangles)]
+        for k, tk in enumerate(geo.f_tris):
+            for l, tl in enumerate(geo.g_tris):
+                d = geo.cell_dist[k, l]
+                assert d == composed_dist_triangle_triangle(tk, f_edges[k],
+                                                            tl, g_edges[l])
+                assert _near(d, dist_triangle_triangle(tk, tl)), (k, l)
         assert geo.f_edges == f.param.edges() and geo.g_edges == g.param.edges()
-        for i, e in enumerate(f.param.edges()):
-            for l in range(g.n_triangles):
-                assert geo.f_edge_dist[i][l] == dist_segment_triangle(
-                    f.image_segment(e), g.image_triangle(l))
-        for i, e in enumerate(g.param.edges()):
-            for k in range(f.n_triangles):
-                assert geo.g_edge_dist[i][k] == dist_segment_triangle(
-                    g.image_segment(e), f.image_triangle(k))
+        for s, t, edges, table, tri_edges in (
+                (f, g, geo.f_edges, geo.f_edge_dist, g_edges),
+                (g, f, geo.g_edges, geo.g_edge_dist, f_edges)):
+            for i, e in enumerate(edges):
+                seg = s.image_segment(e)
+                for l, tri in enumerate(t.image_triangles()):
+                    assert table[i, l] == composed_dist_segment_triangle(
+                        seg, tri, tri_edges[l])
+                    assert _near(table[i, l], dist_segment_triangle(seg, tri))
         for v, p in enumerate(f.image):
             for l in range(g.n_triangles):
                 assert geo.f_vertex_dist[v][l] == dist_point_triangle(

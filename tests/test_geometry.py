@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from frechet_surfaces import ParamTriangulation, PairGeometry, Surface
 from frechet_surfaces.batched import (_best_edge_point,
                                       batch_closest_point_triangle,
                                       batch_closest_segment_segment,
                                       batch_dist_point_triangle,
-                                      batch_dist_segment_triangle,
-                                      batch_dist_triangle_triangle,
                                       batch_segment_crosses_triangle,
                                       point_triangle_table,
-                                      segment_triangle_table,
-                                      triangle_triangle_table)
+                                      segment_crosses_table,
+                                      segment_segment_table)
+from frechet_surfaces.freespace import _edge_table
 from frechet_surfaces.geometry import (FEATURES, GeometryError,
                                        OverlappingArcsError,
                                        arc_pair_intersections,
@@ -32,8 +32,10 @@ from frechet_surfaces.geometry import (FEATURES, GeometryError,
                                        point_sqdist_quadratic,
                                        triangle_scale, vdist, vdot, vunit)
 from .conftest import random_triangle
-from .oracles import (dist_segment_triangle, dist_triangle_triangle,
-                      resultant_rows, sample_triangle, sampled_point_triangle,
+from .oracles import (composed_dist_segment_triangle,
+                      composed_dist_triangle_triangle, dist_segment_triangle,
+                      dist_triangle_triangle, edge_edge_dist, resultant_rows,
+                      sample_triangle, sampled_point_triangle,
                       sampled_segment_triangle, sampled_triangle_triangle,
                       segment_crosses_triangle)
 
@@ -248,41 +250,74 @@ def test_batch_segment_segment_equals_scalar(rng, d):
         assert dist[i] == closest_segment_segment(a, b, c, e)[0], (a, b, c, e)
 
 
+def _soup(tris):
+    """A surface whose triangles are `tris`, each on three vertices of its
+    own (PairGeometry reads no parameter coordinate)."""
+    n = len(tris)
+    param = ParamTriangulation.create([(0.0, 0.0)] * (3 * n),
+                                      [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(n)])
+    return Surface.create(param, [p for t in tris for p in t])
+
+
+def _edges(tri):
+    """The edges of a triangle as PairGeometry orients them for vertex
+    indices 0, 1, 2: (0, 1), (1, 2), (0, 2)."""
+    return [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])]
+
+
+def _near(x, y):
+    """Within rounding at these tests' coordinates, which stay below 8."""
+    return abs(x - y) <= 8e-15
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_batch_segment_triangle_equals_scalar(rng, d):
     # segments over an integer grid around triangles with integer vertices:
     # crossings through the interior, an edge or a vertex, endpoints on the
-    # plane, coplanar contact and overlap (3-D), plus random segments
+    # plane, coplanar contact and overlap (3-D), plus random segments.  Their
+    # distances come from the three primitive tables as PairGeometry's edge
+    # tables do, and equal the scalar composition bit for bit.
     if d == 2:
         grid = _grid(2, range(-1, 4))
     else:
         grid = [_floats(p) for p in
                 itertools.product(range(-1, 3), range(-1, 3), (-1, 0, 1))]
-    segs = _segments(grid) + [tuple(_floats(p) for p in rng.uniform(-2, 3, size=(2, d)))
-                              for _ in range(200)]
+    pts = grid + [_floats(p) for p in rng.uniform(-2, 3, size=(400, d))]
+    ends = [(i, j) for i in range(len(grid)) for j in range(len(grid))] + \
+        [(len(grid) + 2 * i, len(grid) + 2 * i + 1) for i in range(200)]
+    segs = [(pts[i], pts[j]) for i, j in ends]
     a, b = (_lanes(side) for side in zip(*segs))
-    for tri in _triangles(rng, d):
+    tris = _triangles(rng, d)
+    for tri in tris:
         crosses = batch_segment_crosses_triangle(a, b, tri)
-        dist = batch_dist_segment_triangle((a, b), tri)
         for i, seg in enumerate(segs):
             assert crosses[i] == segment_crosses_triangle(*seg, tri), (seg, tri)
-            assert dist[i] == dist_segment_triangle(seg, tri), (seg, tri)
+    tri_edges = [_edges(t) for t in tris]
+    dist = _edge_table(point_triangle_table(pts, tris), ends, segs,
+                       [e for es in tri_edges for e in es],
+                       np.arange(3 * len(tris)).reshape(-1, 3), tris)
+    for i, seg in enumerate(segs):
+        for l, tri in enumerate(tris):
+            assert dist[i, l] == composed_dist_segment_triangle(seg, tri, tri_edges[l])
+            assert _near(dist[i, l], dist_segment_triangle(seg, tri)), (seg, tri)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_batch_triangle_triangle_equals_scalar(rng, d):
     # integer triangles against their integer translates (touching, coplanar
-    # overlap, crossing), then random pairs
+    # overlap, crossing), then random pairs: PairGeometry's cell distance of
+    # the pair equals the scalar composition bit for bit
     base = _triangles(rng, d)
     pairs = [(t, tuple(_floats(np.add(p, v)) for p in u))
              for t in base[:4] for u in base[:4] for v in _grid(d, (-1, 0, 1))]
     pairs += [(base[i], base[j]) for i in range(len(base)) for j in range(len(base))]
     pairs += [tuple(tuple(_floats(p) for p in rng.uniform(-1, 1, size=(3, d)))
                     for _ in range(2)) for _ in range(100)]
-    t1, t2 = ([_lanes(pts) for pts in zip(*side)] for side in zip(*pairs))
-    dist = batch_dist_triangle_triangle(t1, t2)
+    t1, t2 = zip(*pairs)
+    cells = PairGeometry(_soup(t1), _soup(t2)).cell_dist
     for i, (u, v) in enumerate(pairs):
-        assert dist[i] == dist_triangle_triangle(u, v, degenerate_ok=True), (u, v)
+        assert cells[i, i] == composed_dist_triangle_triangle(u, _edges(u), v, _edges(v))
+        assert _near(cells[i, i], dist_triangle_triangle(u, v)), (u, v)
 
 
 def test_tables_equal_scalar_and_check_every_triangle(rng):
@@ -291,17 +326,23 @@ def test_tables_equal_scalar_and_check_every_triangle(rng):
     segs = list(zip(pts, pts[5:] + pts[:5]))
     assert point_triangle_table(pts, tris).tolist() == \
         [[dist_point_triangle(p, t) for t in tris] for p in pts]
-    assert segment_triangle_table(segs, tris).tolist() == \
-        [[dist_segment_triangle(s, t) for t in tris] for s in segs]
-    assert triangle_triangle_table(tris, tris[::-1]).tolist() == \
-        [[dist_triangle_triangle(u, v) for v in tris[::-1]] for u in tris]
+    each = np.arange(len(segs))[:, None]
+    table = segment_segment_table(segs, segs[::-1], each)
+    assert table.tolist() == [[edge_edge_dist(s, t) for t in segs[::-1]] for s in segs]
+    assert segment_segment_table(segs[::-1], segs, each).tolist() == table.T.tolist()
+    n = len(segs)
+    groups = np.array([(i, (i + 7) % n, (3 * i) % n) for i in range(n)])
+    assert segment_segment_table(segs, segs, groups).tolist() == \
+        [[min(edge_edge_dist(s, segs[i]) for i in group) for group in groups]
+         for s in segs]
+    assert segment_crosses_table(segs, tris).tolist() == \
+        [[segment_crosses_triangle(*s, t) for t in tris] for s in segs]
     degen = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
     with pytest.raises(GeometryError):
         dist_triangle_triangle(tris[0], degen)
     for fill in (lambda: point_triangle_table(pts, tris + [degen]),
-                 lambda: segment_triangle_table(segs, [degen] + tris),
-                 lambda: triangle_triangle_table(tris, tris + [degen]),
-                 lambda: triangle_triangle_table([degen], tris)):
+                 lambda: PairGeometry(_soup(tris), _soup([degen] + tris)),
+                 lambda: PairGeometry(_soup(tris + [degen]), _soup(tris))):
         with pytest.raises(GeometryError):
             fill()
 

@@ -3,14 +3,16 @@ pairs: it is symmetric in its two surfaces, unchanged by a rigid motion of
 both images, scales linearly with both images (exact mode), and unchanged by
 a barycentric subdivision or a symmetry of the parameter square, each of
 which reparameterises a surface without moving any image point (bisect
-mode)."""
+mode).  These hold within 10 gaps, since most reorder sums.  Two hold bit for
+bit: negating one coordinate of both images changes no product, and swapping
+the surfaces only transposes the pair's distance tables."""
 
 import numpy as np
 
-from frechet_surfaces import (DEFAULT_TOL, ParamTriangulation, Surface,
-                              barycentric_subdivide, compute)
-from frechet_surfaces.decision import MODE_BISECT
-from .conftest import random_surface_pair
+from frechet_surfaces import (DEFAULT_TOL, PairGeometry, ParamTriangulation,
+                              Surface, barycentric_subdivide, compute)
+from frechet_surfaces.decision import MODE_BISECT, MODE_EXACT
+from .conftest import bumped_grid_surface, random_surface_pair
 
 PAIRS = 6
 
@@ -86,3 +88,48 @@ def test_square_symmetry_leaves_distance_unchanged(rng):
         d = compute(f, g, mode=MODE_BISECT).distance
         d_sym = compute(_square_symmetry(f, int(index)), g, mode=MODE_BISECT).distance
         assert _close(d, d_sym), (index, d, d_sym)
+
+
+def _negated(s, axis):
+    return _mapped(s, lambda p: np.where(np.arange(len(p)) == axis, -p, p))
+
+
+def _table_pairs(rng):
+    """40 random pairs, every other one planar, and the criterion-11 grid pair
+    at T = 32."""
+    pairs = [random_surface_pair(rng, d=2 + i % 2, tri_range=(4, 8)) for i in range(40)]
+    return pairs + [(bumped_grid_surface(4, 4, 0.25, (0.0, 0.0, 0.0)),
+                     bumped_grid_surface(4, 4, 0.20, (0.05, -0.04, 0.3)))]
+
+
+def _bits(table):
+    return table.tobytes()
+
+
+def test_negating_a_coordinate_leaves_the_tables_bit_identical(rng):
+    for f, g in _table_pairs(rng):
+        axis = int(rng.integers(len(f.image[0])))
+        geo = PairGeometry(f, g)
+        neg = PairGeometry(_negated(f, axis), _negated(g, axis))
+        for name in ("cell_dist", "f_edge_dist", "g_edge_dist", "f_vertex_dist",
+                     "g_vertex_dist"):
+            assert _bits(getattr(geo, name)) == _bits(getattr(neg, name)), (name, axis)
+
+
+def test_swapping_the_surfaces_transposes_the_tables(rng):
+    for f, g in _table_pairs(rng):
+        fg, gf = PairGeometry(f, g), PairGeometry(g, f)
+        assert _bits(gf.cell_dist) == _bits(fg.cell_dist.T)
+        for a, b in (("f_edge_dist", "g_edge_dist"), ("f_vertex_dist", "g_vertex_dist")):
+            assert _bits(getattr(gf, a)) == _bits(getattr(fg, b))
+            assert _bits(getattr(gf, b)) == _bits(getattr(fg, a))
+
+
+def test_negation_and_swap_leave_the_distance_bit_identical(rng):
+    for _ in range(12):
+        f, g = random_surface_pair(rng, tri_range=(4, 6))
+        axis = int(rng.integers(3))
+        for mode in (MODE_EXACT, MODE_BISECT):
+            d = compute(f, g, mode=mode).distance
+            assert compute(_negated(f, axis), _negated(g, axis), mode=mode).distance == d
+            assert compute(g, f, mode=mode).distance == d, mode

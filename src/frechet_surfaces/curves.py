@@ -380,8 +380,6 @@ def curve_compute(f, g, variant=VARIANT_FRECHET, tol=DEFAULT_TOL):
     if dec(f, g, 0.0, tol, geometry=geometry):
         return 0.0
     hi = max(vdist(p, q) for p in f.vertices for q in g.vertices) + tol.abs
-    if not dec(f, g, hi, tol, geometry=geometry):
-        raise ArithmeticError("curve decision failed at the diameter bound")
     return bisect_threshold(lambda eps: dec(f, g, eps, tol, geometry=geometry),
                             0.0, hi, tol)
 

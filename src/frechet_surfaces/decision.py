@@ -2,9 +2,9 @@
 
 decide() answers "is the weak Fréchet distance <= eps" by looking for a
 connected component of the free-space graph whose projections cover both
-parameter spaces.  compute() locates the distance by a staged binary search
-over the enumerated critical values, refining the final bracket either with
-type-2c candidates ("exact" mode) or by plain bisection ("bisect" mode).
+parameter spaces.  compute() locates the distance below a diameter bound,
+by bisection ("bisect" mode) or by a staged binary search over the
+enumerated critical values that returns one of them ("exact" mode).
 """
 
 import math
@@ -92,13 +92,13 @@ def _merged_values(candidates, lo, hi, tol):
 def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     """Weak Fréchet distance: min eps with decide(f, g, eps) true.
 
-    One bracket search in stages, each narrowing (lo, hi] to the first of its
-    sorted, merged candidates that probes true: the families read from the
-    pair's tables (types 1/2a/2d), then every type-1/2a/2b/2d value inside
-    that bracket (T2b enumerated only there), then the type-2c values inside
-    the last bracket if a probe just below its top is true ("exact" mode) or
-    bisection of it to tolerance ("bisect" mode).  All probes and candidate
-    families share one PairGeometry of the pair, all probes one CoverageRecord.
+    Both modes probe 0; then "bisect" mode bisects (0, eps_max] to tolerance,
+    eps_max being the image diameter bound.  "exact" mode narrows a bracket
+    in stages, each to the first of its sorted, merged candidates that probes
+    true: the families read from the pair's tables (types 1/2a/2d), then every
+    type-1/2a/2b/2d value inside that bracket (T2b enumerated only there),
+    then the type-2c values inside the last bracket if a probe just below its
+    top is true.  All probes share one PairGeometry and one CoverageRecord.
     """
     if mode not in (MODE_EXACT, MODE_BISECT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -118,6 +118,16 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
             witnesses[eps] = wit
         return ok
 
+    if probe(0.0):
+        return WeakFrechetResult(0.0, 0.0, witnesses[0.0], mode, probes)
+    eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
+    if not math.isfinite(eps_max):
+        raise ArithmeticError("image diameter bound overflows")
+    if mode == MODE_BISECT:
+        distance = bisect_threshold(probe, 0.0, eps_max, tol)
+        return WeakFrechetResult(distance, distance, witnesses[distance], mode,
+                                 probes)
+
     def probe_candidate(v):
         # enumerated candidates carry up to ~10x-tolerance numerical error;
         # probing with the dedup radius keeps the search from skipping the
@@ -129,12 +139,6 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
         is known to."""
         i = _first_true(cands, probe_candidate)
         return (cands[i - 1] if i else lo), cands[i]
-
-    if probe(0.0):
-        return WeakFrechetResult(0.0, 0.0, witnesses[0.0], mode, probes)
-    eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) + tol.abs + 1e-12
-    if not math.isfinite(eps_max):
-        raise ArithmeticError("image diameter bound overflows")
 
     # lo = -inf keeps tolerance-zero candidates: probe(0.0) is false, yet a
     # distance below 10 gaps may still merge into one of them
@@ -151,25 +155,17 @@ def compute(f, g, mode=MODE_EXACT, tol=DEFAULT_TOL):
     c1 = dedup_critical_values(table + t2b, tol)  # critical_values_C1, unfiltered
     lo, hi = narrow(_merged_values(c1, lo, hi, tol) + [hi], lo)
 
-    if mode == MODE_EXACT:
-        # a 2c value v merges only below hi - 10 gap(hi) and wins only if
-        # v + 10 gap(v) probes true, so a false probe there settles on hi
-        below = hi - 10.0 * tol.gap(hi)
-        if below <= lo or not probe(below):
-            distance = hi
-        else:
-            c2 = critical_values_2c(f, g, lo, hi, tol, geometry=geometry)
-            distance = narrow(_merged_values(c2, lo, hi, tol) + [hi], lo)[1]
+    # a 2c value v merges only below hi - 10 gap(hi) and wins only if
+    # v + 10 gap(v) probes true, so a false probe there settles on hi
+    below = hi - 10.0 * tol.gap(hi)
+    if below <= lo or not probe(below):
+        distance = hi
     else:
-        # the candidate search probed with slack, so the flip may sit just
-        # above hi; widen by the slack and bisect with exact probes
-        distance = bisect_threshold(probe, lo, hi + 10.0 * tol.gap(hi), tol)
+        c2 = critical_values_2c(f, g, lo, hi, tol, geometry=geometry)
+        distance = narrow(_merged_values(c2, lo, hi, tol) + [hi], lo)[1]
 
-    # every search ends on a value whose probe was true: a candidate probed
-    # at v + 10 gap(v), or a true bisection mid, or the widened top, which
-    # is the probe point of the last bracket's top
-    witness_eps = distance + 10.0 * tol.gap(distance) if mode == MODE_EXACT \
-        else distance
+    # each candidate search ends on a value v probed true at v + 10 gap(v)
+    witness_eps = distance + 10.0 * tol.gap(distance)
     return WeakFrechetResult(distance, witness_eps, witnesses[witness_eps],
                              mode, probes)
 

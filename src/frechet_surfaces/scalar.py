@@ -81,9 +81,12 @@ def within_mask(dist, eps, tol=DEFAULT_TOL):
 
 
 def bisect_threshold(pred, lo, hi, tol=DEFAULT_TOL):
-    """Bisect [lo, hi] for the flip of a monotone predicate that is true at hi,
-    until the bracket is no wider than the tolerance at its scale; returns the
-    final hi.  Serves compute's bisect mode and curve_compute."""
+    """Bisect [lo, hi] for the flip of a monotone predicate, until the bracket
+    is no wider than the tolerance at its scale; returns the final hi, at which
+    pred is true.  pred(hi) is checked before the first split, and a false one
+    raises ArithmeticError.  Serves compute's bisect mode and curve_compute."""
+    if not pred(hi):
+        raise ArithmeticError(f"decision false at the upper bound {hi!r}")
     while hi - lo > max(tol.abs, tol.rel * max(hi, 1.0)):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

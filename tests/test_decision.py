@@ -319,8 +319,7 @@ def test_decide_below_cell_distances_computes_no_boundary_distance(monkeypatch):
 def _final_brackets(monkeypatch):
     """The (lo, hi) that each compute() call hands its last stage:
     critical_values_2c's bracket in exact mode, when it enumerates 2c, and
-    bisect_threshold's bracket, hi widened by the probe slack, in bisect
-    mode."""
+    bisect_threshold's bracket (0, eps_max) in bisect mode."""
     seen = []
     c2, bisect = decision.critical_values_2c, decision.bisect_threshold
 
@@ -356,9 +355,11 @@ def _assert_monotone(probes):
 def test_staged_search_ends_in_the_single_stage_bracket(rng, monkeypatch):
     # bracketing with the table families first, then with T2b inside that
     # bracket, ends in the bracket (lo, hi] of one search over all of C1, so
-    # both modes return the same float.  Exact mode then probes just below
-    # hi, outside its dedup radius: false settles on hi, and true hands
-    # (lo, hi) to the type-2c enumeration
+    # exact mode returns the same float as that search.  It then probes just
+    # below hi, outside its dedup radius: false settles on hi, and true hands
+    # (lo, hi) to the type-2c enumeration.  Bisect mode bisects from 0 and the
+    # diameter bound instead, and ends within 10 gaps of the search's
+    # bisection of (lo, hi]
     from frechet_surfaces import DEFAULT_TOL
     seen = _final_brackets(monkeypatch)
     pairs = [random_surface_pair(rng, tri_range=(4, 6)) for _ in range(14)]
@@ -367,17 +368,47 @@ def test_staged_search_ends_in_the_single_stage_bracket(rng, monkeypatch):
             seen.clear()
             res = compute(f, g, mode=mode)
             distance, bracket = single_stage_compute(f, g, mode)
-            assert res.distance == distance, mode
             lo, hi = bracket
             below = hi - 10.0 * DEFAULT_TOL.gap(hi)
             if mode == MODE_BISECT:
-                assert seen == [(lo, hi + 10.0 * DEFAULT_TOL.gap(hi))]
-            elif (below, False) in res.probes:
+                assert abs(res.distance - distance) <= \
+                    10.0 * DEFAULT_TOL.gap(distance)
+                _assert_monotone(res.probes)
+                continue
+            assert res.distance == distance, mode
+            if (below, False) in res.probes:
                 assert seen == [] and res.distance == hi
             else:
                 assert (below, True) in res.probes
                 assert seen == [(lo, hi)]
             _assert_monotone(res.probes)
+
+
+def test_bisect_compute_enumerates_no_candidate_value(rng, monkeypatch):
+    # bisect mode is plain bisection of (0, eps_max], eps_max the diameter
+    # bound: it enumerates no critical value, and its first two probes are 0
+    # and the top of that bracket
+    from frechet_surfaces import DEFAULT_TOL
+    from frechet_surfaces.surface import image_diameter_bound
+    seen = _final_brackets(monkeypatch)
+    calls = [_count_calls(monkeypatch, decision, name)
+             for name in ("table_critical_values", "t2b_critical_values",
+                          "dedup_critical_values", "critical_values_2c")]
+    pairs = [random_surface_pair(rng, d=d, tri_range=(4, 6))
+             for d in (2, 3) for _ in range(3)]
+    pairs.append((bumped_grid_surface(2, 2, 0.25, (0.0, 0.0, 0.0)),
+                  bumped_grid_surface(2, 2, 0.20, (0.05, -0.04, 0.3))))
+    for f, g in pairs:
+        seen.clear()
+        res = compute(f, g, mode=MODE_BISECT)
+        eps_max = image_diameter_bound(f, g) * (1.0 + 1e-9) \
+            + DEFAULT_TOL.abs + 1e-12
+        assert [len(c) for c in calls] == [0, 0, 0, 0]
+        assert seen == [(0.0, eps_max)]
+        assert res.probes[:2] == [(0.0, False), (eps_max, True)]
+        assert (res.distance, True) in res.probes
+        assert res.witness_eps == res.distance
+        _assert_monotone(res.probes)
 
 
 def test_exact_compute_enumerates_no_2c_on_sandwich_sized_pairs(rng, monkeypatch):

@@ -5,14 +5,17 @@ a barycentric subdivision or a symmetry of the parameter square, each of
 which reparameterises a surface without moving any image point (bisect
 mode).  These hold within 10 gaps, since most reorder sums.  Two hold bit for
 bit: negating one coordinate of both images changes no product, and swapping
-the surfaces only transposes the pair's distance tables."""
+the surfaces only transposes the pair's distance tables.  A seeded property
+search over grids with dyadic coordinates checks that the two modes agree."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from frechet_surfaces import (DEFAULT_TOL, PairGeometry, ParamTriangulation,
                               Surface, barycentric_subdivide, compute)
 from frechet_surfaces.decision import MODE_BISECT, MODE_EXACT
-from .conftest import bumped_grid_surface, random_surface_pair
+from .conftest import (bumped_grid_surface, grid_triangulation,
+                       random_surface_pair)
 
 PAIRS = 6
 
@@ -133,3 +136,37 @@ def test_negation_and_swap_leave_the_distance_bit_identical(rng):
             d = compute(f, g, mode=mode).distance
             assert compute(_negated(f, axis), _negated(g, axis), mode=mode).distance == d
             assert compute(g, f, mode=mode).distance == d, mode
+
+
+def _dyadic_grid(bump, shift):
+    """The 2x2 grid over the square with its centre vertex lifted by bump,
+    shifted by shift: every coordinate a multiple of 1/8, so that the
+    tangencies between two such grids are exact."""
+    param = grid_triangulation(2, 2)
+    return Surface.create(param, [
+        (x + shift[0], y + shift[1], (bump if (x, y) == (0.5, 0.5) else 0.0)
+         + shift[2]) for x, y in param.vertices])
+
+
+EIGHTHS = st.integers(-6, 6).map(lambda k: k / 8.0)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(bump_f=st.sampled_from([0.0, 0.25, 0.5]),
+       bump_g=st.sampled_from([0.0, 0.25, 0.5]),
+       shift=st.tuples(EIGHTHS, EIGHTHS, EIGHTHS))
+def test_modes_agree_on_flat_and_bumped_grids(bump_f, bump_g, shift):
+    # flat and bumped grids against translates by multiples of 1/8: both
+    # modes find the same distance within 10 gaps, each probe log is
+    # monotone, and bisect mode returns an eps that probed true
+    f = _dyadic_grid(bump_f, (0.0, 0.0, 0.0))
+    g = _dyadic_grid(bump_g, shift)
+    exact = compute(f, g, mode=MODE_EXACT)
+    bisect = compute(f, g, mode=MODE_BISECT)
+    assert _close(exact.distance, bisect.distance), (exact.distance,
+                                                     bisect.distance)
+    for res in (exact, bisect):
+        trues = [e for e, ok in res.probes if ok]
+        falses = [e for e, ok in res.probes if not ok]
+        assert not falses or min(trues) > max(falses), res.probes
+    assert (bisect.distance, True) in bisect.probes

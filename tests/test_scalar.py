@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from frechet_surfaces.scalar import (DEFAULT_TOL, DegeneratePolynomialError,
-                                     Ordering, Tolerance, cmp, poly_eval,
-                                     quadratic_roots, real_roots, within,
-                                     within_mask)
+                                     Ordering, Tolerance, bisect_threshold, cmp,
+                                     poly_eval, quadratic_roots, real_roots,
+                                     within, within_mask)
 from .oracles import bisection_roots
 
 
@@ -61,6 +61,22 @@ def test_within_mask_is_within_elementwise(rng):
                  lambda: within_mask(np.array([0.0]), nan)):
         with pytest.raises(ValueError):
             test()
+
+
+def test_bisect_threshold_checks_its_top_before_splitting():
+    seen = []
+
+    def pred(x):
+        seen.append(x)
+        return x >= 0.3
+    hi = bisect_threshold(pred, 0.0, 1.0)
+    assert seen[0] == 1.0 and hi in seen and pred(hi)
+    assert hi - 0.3 <= DEFAULT_TOL.gap(hi)
+    # a predicate false at the top raises before any split
+    seen.clear()
+    with pytest.raises(ArithmeticError):
+        bisect_threshold(pred, 0.0, 0.25)
+    assert seen == [0.25]
 
 
 def test_tolerance_invariants():
